@@ -8,7 +8,7 @@ vector.  This script builds the degree-3 and degree-4 fields and walks
 through the table, addition, multiplication, and inversion.
 """
 
-from gf2m import GF2m, Gf2Poly, build_field
+from gf2m import GF2m, Gf2Poly
 
 # -- the degree-4 field over x^4 + x + 1 --------------------------------------
 
@@ -52,7 +52,7 @@ print()
 
 # -- a different defining polynomial gives a different table -------------------
 
-other = build_field(4, Gf2Poly.parse("11001"))  # x^4 + x^3 + 1
+other = GF2m(4, Gf2Poly.parse("11001"))  # x^4 + x^3 + 1
 print(f"over {other.prime_poly.to_terms('x')} instead, alpha^4 = "
       f"{other.alpha(4).vector_str()} (was {field.alpha(4).vector_str()})")
 

@@ -27,7 +27,7 @@ from .code_metrics import (
 )
 from .errata import ERRATA, Erratum
 from .errors import Gf2mError
-from .field import GF2m, FieldElement, PowerForm, build_field
+from .field import GF2m, FieldElement, PowerForm
 from .lfsr import LfsrConfig, TraceRow, divide, from_polynomial, period
 from .mastrovito import (
     ComplexityReport,
@@ -80,7 +80,6 @@ __all__ = [
     "__version__",
     "basis_table",
     "basis_triple",
-    "build_field",
     "build_z_matrix",
     "capabilities",
     "complexity_report",

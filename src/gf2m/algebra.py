@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
+from . import bitmatrix
 from .errors import DependentBasis, Gf2mError
 from .field import GF2m, FieldElement
 from .polynomial import Gf2Poly
@@ -114,35 +113,16 @@ def trace(b: FieldElement) -> int:
     return acc.bits
 
 
-# -- GF(2) linear algebra ----------------------------------------------------
+# -- coordinate systems -------------------------------------------------------
 
-def _gf2_invert(mat: np.ndarray) -> np.ndarray | None:
-    """Inverse of a square GF(2) matrix, or None when singular."""
-    n = mat.shape[0]
-    work = np.concatenate([mat.astype(np.uint8) & 1, np.eye(n, dtype=np.uint8)],
-                          axis=1)
-    row = 0
-    for col in range(n):
-        pivots = np.nonzero(work[row:, col])[0]
-        if pivots.size == 0:
-            return None
-        p = row + int(pivots[0])
-        if p != row:
-            work[[row, p]] = work[[p, row]]
-        others = np.nonzero(work[:, col])[0]
-        for r in others:
-            if r != row:
-                work[r] ^= work[row]
-        row += 1
-    return work[:, n:]
+def _normal_inverse(basis: tuple[FieldElement, ...]) -> tuple[int, ...]:
+    """Inverse of the matrix whose columns are the basis vectors."""
+    return bitmatrix.inverse(bitmatrix.transpose([e.bits for e in basis],
+                                                 len(basis)))
 
 
-def _columns_matrix(elems: Sequence[FieldElement], m: int) -> np.ndarray:
-    cols = np.zeros((m, len(elems)), dtype=np.uint8)
-    for j, e in enumerate(elems):
-        for i in range(m):
-            cols[i, j] = (e.bits >> i) & 1
-    return cols
+def _coords(bits: int, m: int) -> tuple[int, ...]:
+    return tuple((bits >> i) & 1 for i in range(m))
 
 
 def _check_basis(field: GF2m, basis: Sequence[FieldElement]) -> None:
@@ -150,7 +130,7 @@ def _check_basis(field: GF2m, basis: Sequence[FieldElement]) -> None:
         raise DependentBasis(f"need {field.m} basis elements, got {len(basis)}")
     for e in basis:
         field._same_field(e)
-    if _gf2_invert(_columns_matrix(basis, field.m)) is None:
+    if bitmatrix.inverse([e.bits for e in basis]) is None:
         raise DependentBasis("proposed basis is linearly dependent over GF(2)")
 
 
@@ -159,22 +139,14 @@ def find_dual_basis(basis: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
     field = basis[0].field
     _check_basis(field, basis)
     m = field.m
-    # gram[i][k] = Tr(basis_i * alpha^k); mu_j's coordinates solve
-    # gram @ c = e_j, so they are the columns of gram^-1.
-    gram = np.zeros((m, m), dtype=np.uint8)
-    for i in range(m):
-        for k in range(m):
-            gram[i, k] = trace(basis[i] * field.alpha(k))
-    inv = _gf2_invert(gram)
+    # gram row i has bit k = Tr(basis_i * alpha^k); mu_j's coordinates
+    # solve gram . c = e_j, so they are the columns of gram^-1.
+    gram = [sum(trace(basis[i] * field.alpha(k)) << k for k in range(m))
+            for i in range(m)]
+    inv = bitmatrix.inverse(gram)
     if inv is None:
         raise DependentBasis("trace system is singular for this basis")
-    out = []
-    for j in range(m):
-        bits = 0
-        for k in range(m):
-            bits |= int(inv[k, j]) << k
-        out.append(FieldElement(field, bits))
-    return tuple(out)
+    return tuple(FieldElement(field, col) for col in bitmatrix.transpose(inv, m))
 
 
 def dual_basis_coords(b: FieldElement,
@@ -216,7 +188,7 @@ def _conjugate_tuple(g: FieldElement) -> tuple[FieldElement, ...] | None:
     members = [g]
     for _ in range(field.m - 1):
         members.append(members[-1].square())
-    if _gf2_invert(_columns_matrix(members, field.m)) is None:
+    if bitmatrix.inverse([e.bits for e in members]) is None:
         return None
     return tuple(members)
 
@@ -225,11 +197,8 @@ def normal_basis_coords(b: FieldElement,
                         generator: FieldElement | None = None) -> tuple[int, ...]:
     """Coordinates of b over the normal basis of its field."""
     field = b.field
-    basis = normal_basis(field, generator)
-    inv = _gf2_invert(_columns_matrix(basis, field.m))
-    vec = np.array([(b.bits >> i) & 1 for i in range(field.m)], dtype=np.uint8)
-    coords = (inv @ vec) & 1
-    return tuple(int(c) for c in coords)
+    inv = _normal_inverse(normal_basis(field, generator))
+    return _coords(bitmatrix.mul_vec(inv, b.bits), field.m)
 
 
 def from_coords(basis: Sequence[FieldElement],
@@ -252,15 +221,27 @@ class BasisTriple:
     normal: tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
+def _change_of_basis(field: GF2m) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The field's standard-to-dual and standard-to-normal matrices.
+
+    The dual of the dual of the standard basis is the standard basis, so
+    dual coordinate k of b is Tr(b * alpha^k), and row k of the dual
+    matrix has bit i = Tr(alpha^(i+k)).
+    """
+    m = field.m
+    tr = [trace(field.alpha(e)) for e in range(2 * m - 1)]
+    dual = tuple(sum(tr[i + k] << i for i in range(m)) for k in range(m))
+    return dual, _normal_inverse(normal_basis(field))
+
+
 def basis_triple(b: FieldElement) -> BasisTriple:
-    field = b.field
-    standard_basis = tuple(field.alpha(k) if k else field.one
-                           for k in range(field.m))
-    mu = find_dual_basis(standard_basis)
+    m = b.field.m
+    dual, normal = _change_of_basis(b.field)
     return BasisTriple(
-        standard=tuple((b.bits >> i) & 1 for i in range(field.m)),
-        dual=dual_basis_coords(b, mu),
-        normal=normal_basis_coords(b),
+        standard=_coords(b.bits, m),
+        dual=_coords(bitmatrix.mul_vec(dual, b.bits), m),
+        normal=_coords(bitmatrix.mul_vec(normal, b.bits), m),
     )
 
 

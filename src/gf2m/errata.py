@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Erratum", "ERRATA", "all_errata"]
+__all__ = ["Erratum", "ERRATA"]
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,3 @@ ERRATA: tuple[Erratum, ...] = (
              "duplicating the first ones",
     ),
 )
-
-
-def all_errata() -> tuple[Erratum, ...]:
-    return ERRATA

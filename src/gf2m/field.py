@@ -8,9 +8,10 @@ of alpha^(m-1) leftmost, so alpha in GF(2^4) prints as "0010".
 
 Construction walks alpha^0, alpha^1, ... alpha^(2^m-2) by repeated
 multiply-by-alpha with reduction mod phi, recording log and antilog tables.
-Those tables are the canonical multiplication oracle (mul_power); mul_poly
-recomputes the same product from the carry-less polynomial definition, and
-the circuit-level paths live in the mastrovito module.
+Those tables are the canonical multiplication and inversion oracle; mul_poly
+recomputes the same product from the carry-less polynomial definition,
+inversion_trace replays the square-and-multiply register chain, and the
+circuit-level paths live in the mastrovito module.
 
 Memory for the tables grows as 2^m: degrees up to 24 are comfortable,
 the contractual cap is 32.
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .polynomial import Gf2Poly, is_irreducible, is_primitive, primitive_poly
 
-__all__ = ["GF2m", "FieldElement", "PowerForm", "build_field"]
+__all__ = ["GF2m", "FieldElement", "PowerForm"]
 
 
 @dataclass(frozen=True)
@@ -179,21 +180,19 @@ class GF2m:
         product = Gf2Poly(a.bits) * Gf2Poly(b.bits)
         return FieldElement(self, (product % self.prime_poly).bits)
 
-    mul = mul_power
-
     def inverse(self, a: "FieldElement") -> "FieldElement":
-        """Multiplicative inverse by the square-after-multiply register chain."""
+        """Multiplicative inverse from the tables: 1/alpha^e = alpha^-e."""
         self._same_field(a)
         if a.bits == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        return self.inversion_trace(a)[-1]
+        return self.alpha(-int(self.log_table[a.bits]))
 
     def inversion_trace(self, a: "FieldElement") -> list["FieldElement"]:
         """Register values 1, a^2, a^6, ... a^(2^m-2) of the inversion circuit.
 
         The register starts at 1 and is updated m-1 times with
         r <- (r * a)^2, so step k holds a^(2^(k+1) - 2) and the last
-        entry is a^(2^m - 2) = 1/a.
+        entry is a^(2^m - 2) = 1/a, the reference inverse checks against.
         """
         self._same_field(a)
         if a.bits == 0:
@@ -273,11 +272,6 @@ class GF2m:
         rows = [self.format_row(self.zero)]
         rows += [self.format_row(self.alpha(e)) for e in range(self.order - 1)]
         return rows
-
-
-def build_field(m: int, prime_poly: Gf2Poly | None = None) -> GF2m:
-    """Construct GF(2^m), defaulting to the registry polynomial for m."""
-    return GF2m(m, prime_poly)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from .bitmatrix import mul_vec, transpose
 from .errors import DimensionMismatch, FieldMismatch, Gf2mError, UnsupportedTrinomial
 from .field import GF2m, FieldElement
 from .netlist import NetlistBuilder, XorNetlist
@@ -66,22 +65,9 @@ class MastrovitoMatrix:
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    def to_array(self) -> np.ndarray:
-        m = self.m
-        return np.array([[(r >> j) & 1 for j in range(m)] for r in self.rows],
-                        dtype=np.uint8)
-
     def row_terms(self, i: int) -> tuple[int, ...]:
         """Indices j with z_ij = 1, ascending."""
         return tuple(j for j in range(self.m) if (self.rows[i] >> j) & 1)
-
-
-def _cols_to_rows(cols: list[int], m: int) -> tuple[int, ...]:
-    rows = [0] * m
-    for j, col in enumerate(cols):
-        for i in range(m):
-            rows[i] |= ((col >> i) & 1) << j
-    return tuple(rows)
 
 
 def _xtime(bits: int, m: int, phi: int) -> int:
@@ -98,7 +84,7 @@ def build_z_matrix(a: FieldElement) -> MastrovitoMatrix:
     cols = [a.bits]
     for _ in range(m - 1):
         cols.append(_xtime(cols[-1], m, phi))
-    return MastrovitoMatrix(field, _cols_to_rows(cols, m), "general", a.bits)
+    return MastrovitoMatrix(field, transpose(cols, m), "general", a.bits)
 
 
 def symbolic_z_matrix(field: GF2m) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -127,10 +113,7 @@ def mat_vec_mul(z: MastrovitoMatrix, b: FieldElement) -> FieldElement:
     """c_i = GF(2) inner product of row i with b (AND then XOR-fold)."""
     if z.m != b.field.m:
         raise DimensionMismatch(f"{z.m}x{z.m} matrix against {b.field.m}-bit vector")
-    bits = 0
-    for i, row in enumerate(z.rows):
-        bits |= ((row & b.bits).bit_count() & 1) << i
-    return FieldElement(b.field, bits)
+    return FieldElement(b.field, mul_vec(z.rows, b.bits))
 
 
 def constant_mul_matrix(field: GF2m, i: int) -> MastrovitoMatrix:
@@ -139,14 +122,14 @@ def constant_mul_matrix(field: GF2m, i: int) -> MastrovitoMatrix:
     if not 0 <= i <= n - 1:
         raise Gf2mError(f"constant power {i} outside 0..{n - 1}")
     cols = [int(field.antilog_table[(i + j) % n]) for j in range(field.m)]
-    return MastrovitoMatrix(field, _cols_to_rows(cols, field.m), "constant", i)
+    return MastrovitoMatrix(field, transpose(cols, field.m), "constant", i)
 
 
 def squaring_matrix(field: GF2m) -> MastrovitoMatrix:
     """Matrix of the squaring map; column j = vector of alpha^(2j)."""
     n = field.order - 1
     cols = [int(field.antilog_table[(2 * j) % n]) for j in range(field.m)]
-    return MastrovitoMatrix(field, _cols_to_rows(cols, field.m), "squaring")
+    return MastrovitoMatrix(field, transpose(cols, field.m), "squaring")
 
 
 def constant_equations(field: GF2m, i: int) -> list[str]:

@@ -10,7 +10,8 @@ Text format, one item per line, gates in topological order:
 
 Gate ids are g0, g1, ... in emission order.  CONST lines only appear for
 degenerate sources (an all-zero matrix row yields a constant-0 output).
-OUTPUT ports form their own namespace and may reference any node.
+OUTPUT ports form their own namespace, name each port once, and may
+reference any node.  Inputs, constants and gates share one node namespace.
 
 Simulation accepts 0/1 ints or numpy arrays of them per input, so a whole
 batch of assignments can be evaluated in one pass.
@@ -54,9 +55,11 @@ class XorNetlist:
     depth: int = dc_field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        depths: dict[str, int] = {name: 0 for name in self.inputs}
-        for c in self.consts:
-            depths[c.name] = 0
+        depths: dict[str, int] = {}
+        for name in (*self.inputs, *(c.name for c in self.consts)):
+            if name in depths:
+                raise Gf2mError(f"duplicate node name {name!r}")
+            depths[name] = 0
         for g in self.gates:
             if g.kind not in _KINDS:
                 raise Gf2mError(f"unknown gate kind {g.kind!r}")
@@ -65,6 +68,8 @@ class XorNetlist:
             if g.gid in depths:
                 raise Gf2mError(f"duplicate node name {g.gid!r}")
             depths[g.gid] = max(depths[g.a], depths[g.b]) + 1
+        if len({port for port, _ in self.outputs}) != len(self.outputs):
+            raise Gf2mError("duplicate output port")
         worst = 0
         for port, src in self.outputs:
             if src not in depths:
@@ -125,7 +130,7 @@ class XorNetlist:
             parts = line.split()
             if parts[0] == "INPUT" and len(parts) == 2:
                 inputs.append(parts[1])
-            elif parts[0] == "CONST" and len(parts) == 3 and parts[2] in "01":
+            elif parts[0] == "CONST" and len(parts) == 3 and parts[2] in ("0", "1"):
                 consts.append(Const(parts[1], int(parts[2])))
             elif parts[0] == "GATE" and len(parts) == 5:
                 gates.append(Gate(parts[1], parts[2], parts[3], parts[4]))

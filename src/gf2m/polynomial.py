@@ -34,7 +34,6 @@ __all__ = [
     "poly_divmod",
     "is_irreducible",
     "is_primitive",
-    "square_poly",
     "substitute_x_power",
     "order_of_x",
     "primitive_poly",
@@ -196,11 +195,6 @@ def poly_divmod(num: Gf2Poly, den: Gf2Poly) -> tuple[Gf2Poly, Gf2Poly]:
         q |= 1 << shift
         n ^= d << shift
     return Gf2Poly(q), Gf2Poly(n)
-
-
-def square_poly(f: Gf2Poly) -> Gf2Poly:
-    """Square of f; equals f with x replaced by x^2."""
-    return f.square()
 
 
 def substitute_x_power(f: Gf2Poly, e: int) -> Gf2Poly:

@@ -158,6 +158,7 @@ def _check_all_paths(field: GF2m, a_bits: np.ndarray,
         a = FieldElement(field, abit)
         b = FieldElement(field, bbit)
         assert field.mul_poly(a, b).bits == wbit
+        assert field.mul_power(a, b).bits == wbit
         z = z_cache.get(abit)
         if z is None:
             z = z_cache[abit] = build_z_matrix(a)
@@ -190,6 +191,7 @@ def test_criterion_06_inversion_register_chain(m):
     for a in field.nonzero_elements():
         trace = field.inversion_trace(a)
         assert a * trace[-1] == field.one
+        assert field.inverse(a) == trace[-1]
         for k, r in enumerate(trace):
             assert r == field.pow(a, (1 << (k + 1)) - 2)  # 1, a^2, a^6, a^14, ...
 

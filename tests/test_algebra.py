@@ -233,12 +233,14 @@ def test_basis_table_tail_rows(field4):
     assert zero.standard == zero.dual == zero.normal == (0, 0, 0, 0)
 
 
-def test_basis_table_rows_are_consistent_with_reconstruction(field4):
-    std = _standard_basis(field4)
+@pytest.mark.parametrize("m", range(2, 9))
+def test_basis_table_rows_are_consistent_with_reconstruction(m):
+    field = GF2m(m)
+    std = _standard_basis(field)
     mu = find_dual_basis(std)
-    nb = normal_basis(field4)
-    for label, t in basis_table(field4):
-        a = field4.zero if label == "-" else field4.alpha(int(label))
+    nb = normal_basis(field)
+    for label, t in basis_table(field):
+        a = field.zero if label == "-" else field.alpha(int(label))
         assert from_coords(std, t.standard) == a
         assert from_coords(mu, t.dual) == a
         assert from_coords(nb, t.normal) == a

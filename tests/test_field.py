@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from gf2m import GF2m, FieldElement, Gf2Poly, PowerForm, build_field
+from gf2m import GF2m, FieldElement, Gf2Poly, PowerForm
 from gf2m.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -59,7 +59,6 @@ def test_field_identity_and_hash(field4):
     assert hash(field4) == hash(GF2m(4))
     assert field4 != GF2m(4, Gf2Poly.parse("11001"))
     assert field4 != GF2m(3)
-    assert build_field(4) == field4
 
 
 # -- representation tables ------------------------------------------------------

@@ -124,6 +124,17 @@ def test_duplicate_names_rejected():
         nb.add_input("x")
 
 
+def test_duplicate_output_ports_rejected():
+    nb = NetlistBuilder()
+    x = nb.add_input("x")
+    nb.output("z", x)
+    nb.output("z", x)
+    with pytest.raises(Gf2mError):
+        nb.build()
+    with pytest.raises(Gf2mError):
+        XorNetlist.parse("INPUT x\nOUTPUT z x\nOUTPUT z x\n")
+
+
 def test_depth_of_gateless_netlist_is_zero():
     nb = NetlistBuilder()
     x = nb.add_input("x")
@@ -166,6 +177,8 @@ def test_parse_skips_comments_and_blanks():
     "INPUT",
     "GATE g0 XOR x",
     "CONST c two",
+    "CONST c 01",   # the value must be exactly 0 or 1
+    "CONST x 1",    # a constant may not shadow the input x
     "OUTPUT o",
 ])
 def test_parse_rejects_malformed_lines(bad):
