@@ -115,8 +115,14 @@ def trace(b: FieldElement) -> int:
 
 # -- coordinate systems -------------------------------------------------------
 
-def _normal_inverse(basis: tuple[FieldElement, ...]) -> tuple[int, ...]:
-    """Inverse of the matrix whose columns are the basis vectors."""
+@lru_cache(maxsize=None)
+def _coords_matrix(basis: tuple[FieldElement, ...]) -> tuple[int, ...]:
+    """The matrix taking an element's bits to its coordinates over `basis`.
+
+    It is the inverse of the matrix whose columns are the basis vectors;
+    built once per basis, after checking that the basis is one.
+    """
+    _check_basis(basis[0].field, basis)
     return bitmatrix.inverse(bitmatrix.transpose([e.bits for e in basis],
                                                  len(basis)))
 
@@ -151,14 +157,17 @@ def find_dual_basis(basis: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
 
 def dual_basis_coords(b: FieldElement,
                       basis: Sequence[FieldElement]) -> tuple[int, ...]:
-    """Coordinates of b over the supplied basis, via its dual: Tr(b * mu_k).
+    """Coordinates of b over the supplied basis: Tr(b * mu_k), mu its dual.
 
     By the expansion z = sum of Tr(z * mu_k) * basis_k these are exactly
-    b's coefficients over `basis`; pass a dual basis itself to get the
+    b's coefficients over `basis`, so they are read off the basis's cached
+    coordinate matrix; pass a dual basis itself to get the
     dual-representation coordinates.
     """
-    mu = find_dual_basis(basis)
-    return tuple(trace(b * mu_k) for mu_k in mu)
+    basis = tuple(basis)
+    inv = _coords_matrix(basis)
+    basis[0].field._same_field(b)
+    return _coords(bitmatrix.mul_vec(inv, b.bits), len(basis))
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +206,7 @@ def normal_basis_coords(b: FieldElement,
                         generator: FieldElement | None = None) -> tuple[int, ...]:
     """Coordinates of b over the normal basis of its field."""
     field = b.field
-    inv = _normal_inverse(normal_basis(field, generator))
+    inv = _coords_matrix(normal_basis(field, generator))
     return _coords(bitmatrix.mul_vec(inv, b.bits), field.m)
 
 
@@ -232,7 +241,7 @@ def _change_of_basis(field: GF2m) -> tuple[tuple[int, ...], tuple[int, ...]]:
     m = field.m
     tr = [trace(field.alpha(e)) for e in range(2 * m - 1)]
     dual = tuple(sum(tr[i + k] << i for i in range(m)) for k in range(m))
-    return dual, _normal_inverse(normal_basis(field))
+    return dual, _coords_matrix(normal_basis(field))
 
 
 def basis_triple(b: FieldElement) -> BasisTriple:

@@ -6,19 +6,25 @@ of alpha^i, where alpha is the primitive element, i.e. a root of phi.  The
 printed vector form follows the usual table convention with the coefficient
 of alpha^(m-1) leftmost, so alpha in GF(2^4) prints as "0010".
 
-Construction walks alpha^0, alpha^1, ... alpha^(2^m-2) by repeated
-multiply-by-alpha with reduction mod phi, recording log and antilog tables.
-Those tables are the canonical multiplication and inversion oracle; mul_poly
-recomputes the same product from the carry-less polynomial definition,
-inversion_trace replays the square-and-multiply register chain, and the
-circuit-level paths live in the mastrovito module.
+Construction fills the antilog table alpha^0, alpha^1, ... alpha^(2^m-2)
+by doubling blocks.  The first 256 powers come from repeated
+multiply-by-alpha with reduction mod phi; after that each block
+alpha^k .. alpha^(2k-1) is the block before it times the constant alpha^k,
+applied with numpy through one 256-entry lookup table per byte of the
+element.  The log table, the inverse permutation, is scattered in as the
+blocks are written.  Those tables are the canonical multiplication and
+inversion oracle; mul_poly recomputes the same product from the carry-less
+polynomial definition, inversion_trace replays the square-and-multiply
+register chain, and the circuit-level paths live in the mastrovito module.
 
-Memory for the tables grows as 2^m: degrees up to 24 are comfortable,
-the contractual cap is 32.
+Memory for the tables grows as 2^m, 8 bytes per element: degrees are
+capped at MAX_DEGREE = 24, the registry's range, where the tables take
+128 MiB and build in a few tenths of a second.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
@@ -29,14 +35,22 @@ from .errors import (
     FieldMismatch,
     Gf2mError,
     NotIrreducible,
+    NotIrreducibleInput,
     NotPrimitive,
     UnsupportedDegree,
     ZeroInverse,
     ZeroToZero,
 )
-from .polynomial import Gf2Poly, is_irreducible, is_primitive, primitive_poly
+from .polynomial import Gf2Poly, _xtime, order_of_x, primitive_poly
 
-__all__ = ["GF2m", "FieldElement", "PowerForm"]
+__all__ = ["GF2m", "FieldElement", "PowerForm", "MAX_DEGREE"]
+
+MAX_DEGREE = 24
+# Powers the table build computes one multiply-by-alpha at a time; larger
+# tables grow from this prefix by doubling blocks, written _CHUNK entries
+# at a time.
+_SEED_POWERS = 1 << 8
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -64,16 +78,20 @@ class GF2m:
     characteristic = 2
 
     def __init__(self, m: int, prime_poly: Gf2Poly | None = None):
-        if not isinstance(m, int) or not 2 <= m <= 32:
-            raise UnsupportedDegree(f"m must be an integer in 2..32, got {m}")
+        if not isinstance(m, int) or not 2 <= m <= MAX_DEGREE:
+            raise UnsupportedDegree(
+                f"m must be an integer in 2..{MAX_DEGREE}, got {m}")
         if prime_poly is None:
             prime_poly = primitive_poly(m)
         if prime_poly.degree != m:
             raise Gf2mError(
                 f"defining polynomial has degree {prime_poly.degree}, expected {m}")
-        if not is_irreducible(prime_poly):
-            raise NotIrreducible(f"{prime_poly.to_terms()} factors over GF(2)")
-        if not is_primitive(prime_poly):
+        try:
+            primitive = order_of_x(prime_poly) == (1 << m) - 1
+        except NotIrreducibleInput:
+            raise NotIrreducible(
+                f"{prime_poly.to_terms()} factors over GF(2)") from None
+        if not primitive:
             raise NotPrimitive(f"{prime_poly.to_terms()} is irreducible but its "
                                "root does not generate the multiplicative group")
         self.m = m
@@ -85,16 +103,32 @@ class GF2m:
     def _build_tables(self) -> None:
         m, phi = self.m, self._phi
         n = self.order - 1
-        antilog = np.zeros(n, dtype=np.uint32)
-        log = np.full(self.order, -1, dtype=np.int32)
-        cur = 1
-        high = 1 << m
-        for e in range(n):
-            antilog[e] = cur
-            log[cur] = e
-            cur <<= 1
-            if cur & high:
-                cur ^= phi
+        antilog = np.empty(n, dtype=np.uint32)
+        log = np.empty(self.order, dtype=np.int32)
+        log[0] = -1
+        k = min(n, _SEED_POWERS)
+        powers = [1]
+        for _ in range(k - 1):
+            powers.append(_xtime(powers[-1], m, phi))
+        antilog[:k] = powers
+        log[antilog[:k]] = np.arange(k, dtype=np.int32)
+        # byte j of every entry, least significant first
+        planes = antilog.view(np.uint8).reshape(n, 4)
+        if sys.byteorder == "big":
+            planes = planes[:, ::-1]
+        while k < n:
+            # antilog[k:2k] = alpha^k * antilog[0:k], a chunk at a time so
+            # that the temporaries stay small and in cache
+            tables = _byte_tables(_xtime(int(antilog[k - 1]), m, phi), m, phi)
+            end = min(2 * k, n)
+            for lo in range(k, end, _CHUNK):
+                hi = min(lo + _CHUNK, end)
+                src, dst = planes[lo - k:hi - k], antilog[lo:hi]
+                dst[:] = tables[0][src[:, 0]]
+                for j, table in enumerate(tables[1:], 1):
+                    dst ^= table[src[:, j]]
+                log[dst] = np.arange(lo, hi, dtype=np.int32)
+            k = end
         antilog.flags.writeable = False
         log.flags.writeable = False
         self.antilog_table = antilog
@@ -272,6 +306,25 @@ class GF2m:
         rows = [self.format_row(self.zero)]
         rows += [self.format_row(self.alpha(e)) for e in range(self.order - 1)]
         return rows
+
+
+def _byte_tables(c: int, m: int, phi: int) -> list[np.ndarray]:
+    """Tables for multiplying m-bit values by the constant c, byte by byte.
+
+    Multiplying by c is GF(2)-linear, so c * x is the XOR over the bytes
+    of x of table j at byte j, where table j holds c * (v << 8j) for every
+    byte value v.  Each table is filled by doubling: the entries with bit
+    b set are those below 2^b XOR c * alpha^(8j+b).
+    """
+    tables = []
+    col = c  # c * alpha^(8j+b)
+    for _ in range((m + 7) // 8):
+        table = np.zeros(256, dtype=np.uint32)
+        for b in range(8):
+            table[1 << b:2 << b] = table[:1 << b] ^ col
+            col = _xtime(col, m, phi)
+        tables.append(table)
+    return tables
 
 
 @dataclass(frozen=True)

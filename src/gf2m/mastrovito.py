@@ -19,10 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitmatrix import mul_vec, transpose
-from .errors import DimensionMismatch, FieldMismatch, Gf2mError, UnsupportedTrinomial
+from .errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    Gf2mError,
+    NotIrreducible,
+    NotPrimitive,
+    UnsupportedTrinomial,
+)
 from .field import GF2m, FieldElement
 from .netlist import NetlistBuilder, XorNetlist
-from .polynomial import Gf2Poly, is_irreducible, is_primitive
+from .polynomial import Gf2Poly, _xtime
 
 __all__ = [
     "MastrovitoMatrix",
@@ -68,13 +75,6 @@ class MastrovitoMatrix:
     def row_terms(self, i: int) -> tuple[int, ...]:
         """Indices j with z_ij = 1, ascending."""
         return tuple(j for j in range(self.m) if (self.rows[i] >> j) & 1)
-
-
-def _xtime(bits: int, m: int, phi: int) -> int:
-    bits <<= 1
-    if bits >> m & 1:
-        bits ^= phi
-    return bits
 
 
 def build_z_matrix(a: FieldElement) -> MastrovitoMatrix:
@@ -332,7 +332,8 @@ def complexity_report(m: int, k: int) -> ComplexityReport:
     """Literature rows plus measured netlist counts for x^m + x^k + 1.
 
     The published table covers trinomials with 2 < 2k < m; outside that,
-    or when x^m + x^k + 1 cannot define a field here, UnsupportedTrinomial.
+    or when x^m + x^k + 1 is not primitive, UnsupportedTrinomial.  Degrees
+    above the field cap raise UnsupportedDegree, as GF2m does.
     """
     if not (isinstance(m, int) and isinstance(k, int) and 1 <= k < m):
         raise UnsupportedTrinomial(f"need integers 1 <= k < m, got k={k}, m={m}")
@@ -340,10 +341,11 @@ def complexity_report(m: int, k: int) -> ComplexityReport:
         raise UnsupportedTrinomial(
             f"published rows require 2 < 2k < m; k={k}, m={m} falls outside")
     tri = Gf2Poly((1 << m) | (1 << k) | 1)
-    if not (is_irreducible(tri) and is_primitive(tri)):
+    try:
+        field = GF2m(m, tri)
+    except (NotIrreducible, NotPrimitive):
         raise UnsupportedTrinomial(
-            f"{tri.to_terms()} does not define a field in this library")
-    field = GF2m(m, tri)
+            f"{tri.to_terms()} does not define a field in this library") from None
     par = general_multiplier_netlist(field)
     pc = par.gate_counts()
     step_x = emit_netlist(SerialStepSpec(field, "xor"))

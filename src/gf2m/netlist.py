@@ -153,6 +153,11 @@ class XorNetlist:
         }
 
 
+def _const_clash(name: str) -> str:
+    return (f"input name {name!r} clashes with a constant node: the builder "
+            "names its constants 'zero' and 'one'")
+
+
 class NetlistBuilder:
     """Accumulates nodes in emission order; gate ids are g0, g1, ..."""
 
@@ -167,12 +172,16 @@ class NetlistBuilder:
     def add_input(self, name: str) -> str:
         if name in self._inputs:
             raise Gf2mError(f"duplicate input name {name!r}")
+        if name in self._const_names.values():
+            raise Gf2mError(_const_clash(name))
         self._inputs.append(name)
         return name
 
     def const(self, value: int) -> str:
         if value not in self._const_names:
             name = "zero" if value == 0 else "one"
+            if name in self._inputs:
+                raise Gf2mError(_const_clash(name))
             self._consts.append(Const(name, value))
             self._const_names[value] = name
         return self._const_names[value]

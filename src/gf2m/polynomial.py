@@ -11,6 +11,10 @@ Three text forms are accepted everywhere a polynomial can be typed in:
 * hexadecimal with a 0x prefix: ``"0x13"``
 * a sum of terms in any order: ``"x^4+x+1"``
 
+A term's exponent may be at most ``MAX_TERM_EXPONENT`` (2^20), so a short
+string cannot ask for a gigabyte-sized integer; the binary and hex forms
+need one character per one or four coefficients and have no such bound.
+
 The binary form is the canonical output; ``to_terms`` and ``to_hex`` cover
 the other two.
 """
@@ -38,7 +42,10 @@ __all__ = [
     "order_of_x",
     "primitive_poly",
     "PRIMITIVE_POLY_STRINGS",
+    "MAX_TERM_EXPONENT",
 ]
+
+MAX_TERM_EXPONENT = 1 << 20
 
 _TERM_RE = re.compile(r"^(?:1|x(?:\^(\d+))?)$", re.IGNORECASE)
 
@@ -157,7 +164,13 @@ def _parse_terms(s: str) -> int:
         elif m.group(1) is None:
             e = 1
         else:
-            e = int(m.group(1))
+            # the length test keeps int() off digit strings of any size
+            digits = m.group(1).lstrip("0") or "0"
+            if (len(digits) > len(str(MAX_TERM_EXPONENT))
+                    or int(digits) > MAX_TERM_EXPONENT):
+                raise Gf2mError(f"term {term!r} has an exponent above "
+                                f"the bound {MAX_TERM_EXPONENT}")
+            e = int(digits)
         bits ^= 1 << e
     return bits
 
@@ -170,6 +183,14 @@ def _clmul(a: int, b: int) -> int:
         acc ^= b << (low.bit_length() - 1)
         a ^= low
     return acc
+
+
+def _xtime(bits: int, m: int, phi: int) -> int:
+    """x * bits mod phi, for bits of degree below m = deg(phi)."""
+    bits <<= 1
+    if bits >> m & 1:
+        bits ^= phi
+    return bits
 
 
 def _spread(bits: int, step: int) -> int:

@@ -170,6 +170,33 @@ def test_dual_coords_reconstruct_every_element(field4):
         assert from_coords(basis, coords) == a
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_coordinate_maps_match_their_definitions(m):
+    field = GF2m(m)
+    std = _standard_basis(field)
+    nb = normal_basis(field)
+    bases = (std, find_dual_basis(std), nb)
+    duals = [find_dual_basis(basis) for basis in bases]
+    for b in field.elements():
+        for basis, mu in zip(bases, duals):
+            assert dual_basis_coords(b, basis) == tuple(
+                trace(b * mu_k) for mu_k in mu)
+        coords = normal_basis_coords(b)
+        assert from_coords(nb, coords) == b
+        assert coords == dual_basis_coords(b, nb)
+
+
+def test_coordinate_maps_keep_their_errors(field4):
+    dependent = (field4.one, field4.alpha(1), field4.alpha(4), field4.alpha(2))
+    for _ in range(2):  # a failed basis is not remembered as a good one
+        with pytest.raises(DependentBasis):
+            dual_basis_coords(field4.one, dependent)
+        with pytest.raises(DependentBasis):
+            dual_basis_coords(field4.one, dependent[:3])
+        with pytest.raises(DependentBasis):
+            normal_basis_coords(field4.one, field4.alpha(1))
+
+
 def test_dependent_set_is_rejected(field4):
     # 1 + alpha + alpha^4 = 0, so this set cannot be a basis
     with pytest.raises(DependentBasis):

@@ -136,6 +136,8 @@ def test_code_analyze_skips_comments_and_blanks(cli, tmp_path):
     ["lfsr", "divide", "--g", "100", "--p", "101"],
     ["code", "analyze", "--words", "/nonexistent/words.txt"],
     ["report", "gates", "--m", "6", "--k", "2"],
+    ["field", "table", "--m", "25", "--poly", "x^25+x^3+1"],
+    ["lfsr", "divide", "--p", "1011", "--g", "x^99999999999+1"],
 ])
 def test_validation_errors_exit_2(cli, args):
     proc = cli(*args, expect=2)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from gf2m import GF2m, FieldElement, Gf2Poly, PowerForm
+from gf2m import GF2m, FieldElement, Gf2Poly, PowerForm, is_primitive
 from gf2m.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -52,6 +55,56 @@ def test_alternate_primitive_polynomial_accepted():
     f = GF2m(4, Gf2Poly.parse("11001"))  # x^4 + x^3 + 1
     assert f.alpha(4).bits == 0b1001
     assert {e.bits for e in f.elements()} == set(range(16))
+
+
+def test_degree_cap_is_checked_before_any_table_is_built():
+    poly = Gf2Poly.parse("x^25+x^3+1")
+    assert is_primitive(poly)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedDegree, match="2..24"):
+            GF2m(25, poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _check_tables(field: GF2m) -> None:
+    """The tables against their definition: antilog[e] = alpha^e, log its inverse."""
+    m, phi, n = field.m, field.prime_poly.bits, field.order - 1
+    antilog, log = field.antilog_table, field.log_table
+    assert antilog.dtype == np.uint32 and log.dtype == np.int32
+    assert antilog.shape == (n,) and log.shape == (field.order,)
+    assert not antilog.flags.writeable and not log.flags.writeable
+    assert antilog[0] == 1 and (int(antilog[-1]) << 1) ^ phi == 1
+    step = 1 << 20  # chunks overlapping by one entry bound the temporaries
+    for lo in range(0, n, step):
+        cur = antilog[lo:lo + step + 1]
+        # xtime of every entry, vectorised: shift, then reduce on carry
+        nxt = cur[:-1] << np.uint32(1)
+        nxt ^= (nxt >> np.uint32(m)) * np.uint32(phi)
+        assert np.array_equal(nxt, cur[1:])
+        assert np.array_equal(log[cur],
+                              np.arange(lo, lo + len(cur), dtype=np.int32))
+    # every value lies in 1..2^m-1 and log undoes antilog, so antilog is
+    # injective and hence a permutation of 1..2^m-1
+    assert antilog.min() == 1 and antilog.max() == n
+    assert log[0] == -1
+
+
+@pytest.mark.parametrize("m", range(2, 25))
+def test_tables_follow_the_xtime_recurrence(m):
+    _check_tables(GF2m(m))
+
+
+@pytest.mark.parametrize("terms", [
+    "x^4+x^3+1", "x^16+x^14+x^13+x^11+1", "x^20+x^17+1",
+    "x^24+x^23+x^22+x^17+1",
+])
+def test_tables_over_non_registry_polynomials(terms):
+    poly = Gf2Poly.parse(terms)
+    _check_tables(GF2m(poly.degree, poly))
 
 
 def test_field_identity_and_hash(field4):

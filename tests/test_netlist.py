@@ -88,6 +88,18 @@ def test_constants_are_deduplicated():
     assert len(nb.build().consts) == 2
 
 
+def test_input_named_like_a_constant_is_rejected_at_the_clash():
+    nb = NetlistBuilder()
+    nb.add_input("zero")
+    with pytest.raises(Gf2mError, match="'zero' and 'one'"):
+        nb.xor_tree([])
+    nb = NetlistBuilder()
+    nb.const(1)
+    nb.add_input("zero")  # no constant 0 yet, so no clash
+    with pytest.raises(Gf2mError, match="'zero' and 'one'"):
+        nb.add_input("one")
+
+
 def test_simulate_accepts_numpy_arrays():
     nl = _xor_pair()
     x = np.array([0, 0, 1, 1], dtype=np.uint8)

@@ -14,6 +14,7 @@ from gf2m.errors import (
     UnsupportedDegree,
 )
 from gf2m.polynomial import (
+    MAX_TERM_EXPONENT,
     PRIMITIVE_POLY_STRINGS,
     primitive_poly,
     substitute_x_power,
@@ -40,6 +41,16 @@ def test_parse_binary_is_msb_first():
 def test_parse_rejects_malformed_text(bad):
     with pytest.raises(Gf2mError):
         Gf2Poly.parse(bad)
+
+
+def test_term_exponents_are_bounded():
+    assert MAX_TERM_EXPONENT == 1 << 20
+    assert Gf2Poly.parse(f"x^{MAX_TERM_EXPONENT}+1").degree == MAX_TERM_EXPONENT
+    assert Gf2Poly.parse("x^0003+x^01+1").bits == 0b1011
+    for bad in (f"x^{MAX_TERM_EXPONENT + 1}", "x^99999999999+1",
+                "x^" + "9" * 5000, "x^" + "0" * 30 + "1048577"):
+        with pytest.raises(Gf2mError, match="above the bound"):
+            Gf2Poly.parse(bad)
 
 
 def test_bits_must_be_a_nonnegative_int():
