@@ -7,10 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN_DIR, golden
+from conftest import golden
+
+from gf2m.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
 
+
+WORDS = str(DATA_DIR / "repetition_code.txt")
+DIVIDE = ["lfsr", "divide", "--g", "101101", "--p", "11001110"]
 
 GOLDEN_CASES = [
     ("field_table_m4.txt", ["field", "table", "--m", "4"]),
@@ -18,37 +23,86 @@ GOLDEN_CASES = [
     ("field_table_m4.json", ["field", "table", "--m", "4", "--format", "json"]),
     ("field_table_m3.txt", ["field", "table", "--m", "3"]),
     ("minpolys_m4.txt", ["minpolys", "--m", "4"]),
+    ("minpolys_m4.csv", ["minpolys", "--m", "4", "--format", "csv"]),
+    ("minpolys_m4.json", ["minpolys", "--m", "4", "--format", "json"]),
     ("bases_m4.txt", ["bases", "--m", "4"]),
+    ("bases_m4.csv", ["bases", "--m", "4", "--format", "csv"]),
+    ("bases_m4.json", ["bases", "--m", "4", "--format", "json"]),
     ("constmul_a13_equations.txt",
      ["constmul", "--m", "4", "--power", "13", "--emit", "equations"]),
+    ("constmul_a13_equations.csv",
+     ["constmul", "--m", "4", "--power", "13", "--format", "csv"]),
+    ("constmul_a13_equations.json",
+     ["constmul", "--m", "4", "--power", "13", "--format", "json"]),
     ("constmul_a13_count.txt",
      ["constmul", "--m", "4", "--power", "13", "--emit", "count"]),
+    ("constmul_a13_count.csv",
+     ["constmul", "--m", "4", "--power", "13", "--emit", "count",
+      "--format", "csv"]),
+    ("constmul_a13_count.json",
+     ["constmul", "--m", "4", "--power", "13", "--emit", "count",
+      "--format", "json"]),
     ("constmul_a13_netlist.txt",
      ["constmul", "--m", "4", "--power", "13", "--emit", "netlist"]),
+    ("constmul_a13_netlist.json",
+     ["constmul", "--m", "4", "--power", "13", "--emit", "netlist",
+      "--format", "json"]),
     ("mastrovito_a0110_m4.txt", ["mastrovito", "--m", "4", "--a", "0110"]),
-    ("lfsr_divide_table.txt",
-     ["lfsr", "divide", "--g", "101101", "--p", "11001110",
-      "--trace", "table"]),
-    ("lfsr_divide_trace.csv",
-     ["lfsr", "divide", "--g", "101101", "--p", "11001110", "--trace", "csv"]),
-    ("lfsr_divide_remainder.txt",
-     ["lfsr", "divide", "--g", "101101", "--p", "11001110"]),
+    ("mastrovito_a0110_m4.csv",
+     ["mastrovito", "--m", "4", "--a", "0110", "--format", "csv"]),
+    ("mastrovito_a0110_m4.json",
+     ["mastrovito", "--m", "4", "--a", "0110", "--format", "json"]),
+    ("mastrovito_symbolic_m4.txt",
+     ["mastrovito", "--m", "4", "--a", "0110", "--emit", "symbolic"]),
+    ("mastrovito_symbolic_m4.csv",
+     ["mastrovito", "--m", "4", "--a", "0110", "--emit", "symbolic",
+      "--format", "csv"]),
+    ("mastrovito_symbolic_m4.json",
+     ["mastrovito", "--m", "4", "--a", "0110", "--emit", "symbolic",
+      "--format", "json"]),
+    ("mastrovito_netlist_m4.txt",
+     ["mastrovito", "--m", "4", "--a", "0110", "--emit", "netlist"]),
+    ("mastrovito_netlist_m4.json",
+     ["mastrovito", "--m", "4", "--a", "0110", "--emit", "netlist",
+      "--format", "json"]),
+    ("lfsr_divide_table.txt", DIVIDE + ["--trace", "table"]),
+    ("lfsr_divide_trace.csv", DIVIDE + ["--trace", "csv"]),
+    ("lfsr_divide_remainder.txt", DIVIDE),
+    ("lfsr_divide_format.csv", DIVIDE + ["--format", "csv"]),
+    ("lfsr_divide.json", DIVIDE + ["--format", "json"]),
+    # --format json wins over --trace; otherwise --trace wins over --format
+    ("lfsr_divide_trace_table_format_json.json",
+     DIVIDE + ["--trace", "table", "--format", "json"]),
+    ("lfsr_divide_trace_table_format_csv.txt",
+     DIVIDE + ["--trace", "table", "--format", "csv"]),
+    ("lfsr_divide_trace_csv_format_table.csv",
+     DIVIDE + ["--trace", "csv", "--format", "table"]),
+    ("code_analyze_repetition.txt", ["code", "analyze", "--words", WORDS]),
+    ("code_analyze_repetition.csv",
+     ["code", "analyze", "--words", WORDS, "--format", "csv"]),
+    ("code_analyze_repetition.json",
+     ["code", "analyze", "--words", WORDS, "--format", "json"]),
     ("report_gates_m4.txt", ["report", "gates", "--m", "4"]),
+    ("report_gates_m4.csv", ["report", "gates", "--m", "4", "--format", "csv"]),
+    ("report_gates_m4.json",
+     ["report", "gates", "--m", "4", "--format", "json"]),
+    ("report_gates_m5_k2.txt", ["report", "gates", "--m", "5", "--k", "2"]),
+    ("report_gates_m5_k2.csv",
+     ["report", "gates", "--m", "5", "--k", "2", "--format", "csv"]),
+    ("report_gates_m5_k2.json",
+     ["report", "gates", "--m", "5", "--k", "2", "--format", "json"]),
     ("errata.txt", ["errata"]),
+    ("errata.csv", ["errata", "--format", "csv"]),
+    ("errata.json", ["errata", "--format", "json"]),
 ]
 
 
 @pytest.mark.parametrize("name,args", GOLDEN_CASES,
                          ids=[name for name, _ in GOLDEN_CASES])
-def test_golden_outputs(cli, name, args):
-    proc = cli(*args)
-    assert proc.stdout == golden(name)
-
-
-def test_code_analyze_golden(cli):
-    proc = cli("code", "analyze", "--words",
-               str(DATA_DIR / "repetition_code.txt"))
-    assert proc.stdout == golden("code_analyze_repetition.txt")
+def test_golden_outputs(capsys, name, args):
+    # In-process: the subprocess tests below cover ``python -m gf2m``.
+    assert main(args) == 0
+    assert capsys.readouterr() == (golden(name), "")
 
 
 def test_identical_invocations_are_byte_identical(cli):
