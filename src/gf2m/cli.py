@@ -13,9 +13,11 @@ code analyze    distance/rate report for a block code read from a file
 report gates    per-constant XOR counts, or the trinomial complexity table
 errata          published-vs-computed discrepancy registry
 
-Every subcommand takes ``--format table|csv|json`` (netlists render in
-their own text format; ``json`` wraps them).  Exit codes: 0 success,
-2 invalid input, 3 internal invariant breach.
+Every subcommand takes ``--format table|csv|json``.  Handlers compute their
+data and pass it to ``_render``, the only reader of the format: json renders
+a document built on demand, csv a header row and grid rows, and table the
+grid or, where the command has one, its own text (netlists have no csv
+form).  Exit codes: 0 success, 2 invalid input, 3 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -25,19 +27,20 @@ import csv
 import io
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import algebra, code_metrics, mastrovito
 from . import lfsr as lfsr_mod
 from .errata import ERRATA
 from .errors import Gf2mError
-from .field import GF2m
+from .field import GF2m, PowerForm
+from .netlist import XorNetlist
 from .polynomial import Gf2Poly
 
 __all__ = ["main", "build_parser"]
 
 
-# -- rendering helpers -------------------------------------------------------
+# -- rendering ---------------------------------------------------------------
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     cells = [list(headers)] + [[str(c) for c in row] for row in rows]
@@ -63,8 +66,34 @@ def render_json(obj: object) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def _power_label(label: str) -> str:
-    return label if label == "-" else f"α^{label}"
+def _render(fmt: str, doc: Callable[[], object],
+            headers: Sequence[str] = (),
+            rows: Sequence[Sequence[str]] | None = (),
+            text: Callable[[], str] | None = None) -> str:
+    """The command's output in format `fmt`; the only reader of --format.
+
+    `doc` and `text` are called only when their format is asked for, so a
+    table or csv run never builds the JSON document.  `rows` is None for a
+    netlist, which has no csv form.
+    """
+    if fmt == "json":
+        return render_json(doc())
+    if fmt == "csv":
+        if rows is None:
+            raise Gf2mError("netlists have no csv form; use table or json")
+        return render_csv(headers, rows)
+    return text() if text else render_table(headers, rows)
+
+
+def _render_netlist(fmt: str, netlist: XorNetlist) -> str:
+    return _render(fmt, netlist.to_json, rows=None, text=netlist.serialize)
+
+
+def _render_items(fmt: str, doc: Callable[[], object],
+                  items: Sequence[tuple[str, str]]) -> str:
+    """A key/value report: a key,value grid, or `key = value` lines."""
+    return _render(fmt, doc, ["key", "value"], items, lambda: "".join(
+        f"{key} = {value}\n" for key, value in items))
 
 
 def _make_field(m: int, poly_text: str | None = None) -> GF2m:
@@ -77,147 +106,99 @@ def _make_field(m: int, poly_text: str | None = None) -> GF2m:
 def cmd_field_table(args: argparse.Namespace) -> str:
     field = _make_field(args.m, args.poly)
     rows = field.table_rows()
-    if args.format == "json":
-        return render_json({
-            "m": field.m,
-            "prime_poly": field.prime_poly.to_binary(),
-            "rows": [{"power": p, "polynomial": q, "vector": v}
-                     for p, q, v in rows],
-        })
-    headers = ["power", "polynomial", "vector"]
-    render = render_csv if args.format == "csv" else render_table
-    return render(headers, rows)
+    return _render(args.format, lambda: {
+        "m": field.m,
+        "prime_poly": field.prime_poly.to_binary(),
+        "rows": [{"power": p, "polynomial": q, "vector": v}
+                 for p, q, v in rows],
+    }, ["power", "polynomial", "vector"], rows)
 
 
 def cmd_minpolys(args: argparse.Namespace) -> str:
     field = _make_field(args.m)
-    entries = []
+    classes = []
     seen: set[int] = set()
-    zero_mp = algebra.minimal_polynomial(field.zero)
-    entries.append((("-",), zero_mp))
-    for e in range(field.order - 1):
-        if field.alpha(e).bits in seen:
+    for b in [field.zero] + [field.alpha(e) for e in range(field.order - 1)]:
+        if b.bits in seen:
             continue
-        cls = algebra.conjugacy_class(field.alpha(e))
+        cls = algebra.conjugacy_class(b)
         seen.update(member.bits for member in cls.members)
-        labels = tuple(f"α^{e}" for e in sorted(
-            member.power.exponent for member in cls.members))
-        entries.append((labels, algebra.minimal_polynomial(cls.representative)))
-    if args.format == "json":
-        return render_json({
-            "m": field.m,
-            "classes": [{
-                "elements": list(labels),
-                "minimal_polynomial": mp.to_terms("X", ascending=True,
-                                                  spaced=True),
-                "binary": mp.to_binary(),
-            } for labels, mp in entries],
-        })
-    headers = ["elements", "minimal polynomial", "binary"]
-    rows = [(", ".join(labels),
-             mp.to_terms("X", ascending=True, spaced=True),
-             mp.to_binary())
-            for labels, mp in entries]
-    render = render_csv if args.format == "csv" else render_table
-    return render(headers, rows)
+        powers = sorted((member.power for member in cls.members),
+                        key=lambda power: power.exponent)
+        mp = algebra.minimal_polynomial(b)
+        classes.append(([str(power) for power in powers],
+                        mp.to_terms("X", ascending=True, spaced=True),
+                        mp.to_binary()))
+    return _render(args.format, lambda: {
+        "m": field.m,
+        "classes": [{"elements": labels, "minimal_polynomial": terms,
+                     "binary": binary} for labels, terms, binary in classes],
+    }, ["elements", "minimal polynomial", "binary"],
+        [(", ".join(labels), terms, binary)
+         for labels, terms, binary in classes])
 
 
 def cmd_bases(args: argparse.Namespace) -> str:
     field = _make_field(args.m)
-    table = algebra.basis_table(field)
-    packed = [(_power_label(label),
-               "".join(map(str, t.standard)),
-               "".join(map(str, t.dual)),
-               "".join(map(str, t.normal)))
-              for label, t in table]
-    if args.format == "json":
-        standard = tuple(field.alpha(k) if k else field.one
-                         for k in range(field.m))
-        return render_json({
-            "m": field.m,
-            "dual_basis": [e.vector_str()
-                           for e in algebra.find_dual_basis(standard)],
-            "normal_basis": [str(e.power)
-                             for e in algebra.normal_basis(field)],
-            "rows": [{"power": p, "standard": s, "dual": d, "normal": n}
-                     for p, s, d, n in packed],
-        })
-    headers = ["power", "standard", "dual", "normal"]
-    render = render_csv if args.format == "csv" else render_table
-    return render(headers, packed)
+    powers = [PowerForm.ZERO] + [PowerForm(e) for e in range(field.order - 1)]
+    rows = [(str(power),
+             "".join(map(str, t.standard)),
+             "".join(map(str, t.dual)),
+             "".join(map(str, t.normal)))
+            for power, (_, t) in zip(powers, algebra.basis_table(field))]
+    return _render(args.format, lambda: {
+        "m": field.m,
+        "dual_basis": [e.vector_str() for e in algebra.find_dual_basis(
+            [field.alpha(k) for k in range(field.m)])],
+        "normal_basis": [str(e.power) for e in algebra.normal_basis(field)],
+        "rows": [{"power": p, "standard": s, "dual": d, "normal": n}
+                 for p, s, d, n in rows],
+    }, ["power", "standard", "dual", "normal"], rows)
 
 
 def cmd_constmul(args: argparse.Namespace) -> str:
     field = _make_field(args.m)
     power = args.power
+    z = mastrovito.constant_mul_matrix(field, power)
     if args.emit == "netlist":
-        return _netlist_output(
-            mastrovito.emit_netlist(
-                mastrovito.constant_mul_matrix(field, power)),
-            args.format)
-    equations = mastrovito.constant_equations(field, power)
-    count = mastrovito.xor_count(mastrovito.constant_mul_matrix(field, power))
-    estimate = mastrovito.xor_count_estimate(field.m)
+        return _render_netlist(args.format, mastrovito.emit_netlist(z))
+    count = mastrovito.xor_count(z)
+    estimate = str(mastrovito.xor_count_estimate(field.m))
     if args.emit == "count":
-        if args.format == "json":
-            return render_json({"m": field.m, "power": power,
-                                "xor_count": count, "estimate": str(estimate)})
-        if args.format == "csv":
-            return render_csv(["key", "value"],
-                              [("xor_count", str(count)),
-                               ("estimate", str(estimate))])
-        return f"xor_count = {count}\nestimate = {estimate}\n"
-    if args.format == "json":
-        return render_json({"m": field.m, "power": power,
-                            "equations": equations,
-                            "xor_count": count, "estimate": str(estimate)})
-    if args.format == "csv":
-        return render_csv(["output", "terms"],
-                          [eq.split(" = ", 1) for eq in equations])
-    return "\n".join(equations) + "\n"
-
-
-def _netlist_output(netlist, fmt: str) -> str:
-    if fmt == "json":
-        return render_json(netlist.to_json())
-    if fmt == "csv":
-        raise Gf2mError("netlists have no csv form; use table or json")
-    return netlist.serialize()
+        return _render_items(args.format, lambda: {
+            "m": field.m, "power": power, "xor_count": count,
+            "estimate": estimate,
+        }, [("xor_count", str(count)), ("estimate", estimate)])
+    equations = mastrovito.constant_equations(field, power)
+    return _render(args.format, lambda: {
+        "m": field.m, "power": power, "equations": equations,
+        "xor_count": count, "estimate": estimate,
+    }, ["output", "terms"], [eq.split(" = ", 1) for eq in equations],
+        lambda: "\n".join(equations) + "\n")
 
 
 def cmd_mastrovito(args: argparse.Namespace) -> str:
     field = _make_field(args.m)
     a = field.element(args.a)
     if args.emit == "netlist":
-        return _netlist_output(mastrovito.general_multiplier_netlist(field),
-                               args.format)
+        return _render_netlist(args.format,
+                               mastrovito.general_multiplier_netlist(field))
     if args.emit == "symbolic":
         sym = mastrovito.symbolic_z_matrix(field)
-        cell = lambda ks: " + ".join(f"a{k}" for k in ks) if ks else "0"
-        if args.format == "json":
-            return render_json({"m": field.m,
-                                "entries": [[list(ks) for ks in row]
-                                            for row in sym]})
-        headers = ["row"] + [f"b{j}" for j in range(field.m)]
-        rows = [[f"z{i}"] + [cell(ks) for ks in sym[i]]
-                for i in range(field.m)]
-        render = render_csv if args.format == "csv" else render_table
-        return render(headers, rows)
+        return _render(args.format, lambda: {
+            "m": field.m,
+            "entries": [[list(ks) for ks in row] for row in sym],
+        }, ["row"] + [f"b{j}" for j in range(field.m)],
+            [[f"z{i}"] + [" + ".join(f"a{k}" for k in ks) or "0"
+                          for ks in row]
+             for i, row in enumerate(sym)])
     z = mastrovito.build_z_matrix(a)
-    bits = ["".join(str(z.entry(i, j)) for j in range(field.m))
-            for i in range(field.m)]
-    equations = []
-    for i in range(field.m):
-        terms = z.row_terms(i)
-        rhs = " + ".join(f"b{j}" for j in terms) if terms else "0"
-        equations.append(f"z{i} = {rhs}")
-    if args.format == "json":
-        return render_json({"m": field.m, "a": a.vector_str(),
-                            "rows": bits, "equations": equations})
-    headers = ["row", "bits", "equation"]
-    rows = [(f"z{i}", bits[i], equations[i]) for i in range(field.m)]
-    render = render_csv if args.format == "csv" else render_table
-    return render(headers, rows)
+    bits = [format(row, f"0{field.m}b")[::-1] for row in z.rows]
+    equations = mastrovito._row_equations(z, "b")
+    return _render(args.format, lambda: {
+        "m": field.m, "a": a.vector_str(), "rows": bits, "equations": equations,
+    }, ["row", "bits", "equation"],
+        [(f"z{i}", bits[i], equations[i]) for i in range(field.m)])
 
 
 def cmd_lfsr_divide(args: argparse.Namespace) -> str:
@@ -231,19 +212,17 @@ def cmd_lfsr_divide(args: argparse.Namespace) -> str:
              for r in trace]
     remainder_line = (f"remainder = {remainder.to_binary()} "
                       f"({remainder.to_terms('X')})\n")
-    if args.format == "json":
-        return render_json({
-            "g": g.to_binary(), "p": p.to_binary(),
-            "remainder": remainder.to_binary(),
-            "remainder_terms": remainder.to_terms("X"),
-            "rows": [{"clock": r.clock, "input": r.input_bit,
-                      "regs": list(r.regs_after)} for r in trace],
-        })
-    if args.trace == "csv" or (args.trace is None and args.format == "csv"):
-        return render_csv(headers, rows)
-    if args.trace == "table":
-        return render_table(headers, rows) + remainder_line
-    return remainder_line
+    # --format json wins; otherwise --trace csv|table overrides --format
+    fmt = "json" if args.format == "json" else args.trace or args.format
+    return _render(fmt, lambda: {
+        "g": g.to_binary(), "p": p.to_binary(),
+        "remainder": remainder.to_binary(),
+        "remainder_terms": remainder.to_terms("X"),
+        "rows": [{"clock": r.clock, "input": r.input_bit,
+                  "regs": list(r.regs_after)} for r in trace],
+    }, headers, rows,
+        lambda: (render_table(headers, rows) if args.trace else "")
+        + remainder_line)
 
 
 def cmd_code_analyze(args: argparse.Namespace) -> str:
@@ -257,72 +236,53 @@ def cmd_code_analyze(args: argparse.Namespace) -> str:
     report = code_metrics.analyze(book)
     items = [(key, str(value)) for key, value in report.items()
              if value is not None]
-    if args.format == "json":
-        return render_json({key: value for key, value in items})
-    if args.format == "csv":
-        return render_csv(["key", "value"], items)
-    return "".join(f"{key} = {value}\n" for key, value in items)
+    return _render_items(args.format, lambda: dict(items), items)
 
 
 def cmd_report_gates(args: argparse.Namespace) -> str:
     if args.k is not None:
-        return _complexity_output(args)
+        report = mastrovito.complexity_report(args.m, args.k)
+        headers = ["design", "AND", "NAND", "XOR", "delay"]
+        rows = list(report.literature) + list(report.measured)
+
+        def section(part):
+            return [{"design": d, "and": a, "nand": n, "xor": x, "delay": t}
+                    for d, a, n, x, t in part]
+
+        return _render(args.format, lambda: {
+            "m": report.m, "k": report.k,
+            "literature": section(report.literature),
+            "measured": section(report.measured),
+            "notes": list(report.notes),
+        }, headers, rows, lambda: (
+            f"multiplier complexity over x^{report.m} + x^{report.k} + 1 "
+            f"(m = {report.m}, k = {report.k})\n\n"
+            + render_table(headers, rows) + "\n"
+            + "".join(f"note: {n}\n" for n in report.notes)))
     field = _make_field(args.m)
-    estimate = mastrovito.xor_count_estimate(field.m)
-    counts = [(f"α^{i}",
+    estimate = str(mastrovito.xor_count_estimate(field.m))
+    counts = [(str(PowerForm(i)),
                mastrovito.xor_count(mastrovito.constant_mul_matrix(field, i)))
               for i in range(field.order - 1)]
-    if args.format == "json":
-        return render_json({
-            "m": field.m, "estimate": str(estimate),
-            "counts": [{"power": p, "xor_count": c} for p, c in counts],
-        })
     headers = ["power", "xor_count"]
     rows = [(p, str(c)) for p, c in counts]
-    if args.format == "csv":
-        return render_csv(headers, rows + [("estimate", str(estimate))])
-    return render_table(headers, rows) + f"estimate = {estimate}\n"
-
-
-def _complexity_output(args: argparse.Namespace) -> str:
-    report = mastrovito.complexity_report(args.m, args.k)
-    headers = ["design", "AND", "NAND", "XOR", "delay"]
-    if args.format == "json":
-        def rows(section):
-            return [{"design": d, "and": a, "nand": n, "xor": x, "delay": t}
-                    for d, a, n, x, t in section]
-        return render_json({
-            "m": report.m, "k": report.k,
-            "literature": rows(report.literature),
-            "measured": rows(report.measured),
-            "notes": list(report.notes),
-        })
-    if args.format == "csv":
-        return render_csv(headers, list(report.literature) + list(report.measured))
-    title = (f"multiplier complexity over x^{report.m} + x^{report.k} + 1 "
-             f"(m = {report.m}, k = {report.k})\n\n")
-    body = render_table(headers, list(report.literature) + list(report.measured))
-    notes = "".join(f"note: {n}\n" for n in report.notes)
-    return title + body + "\n" + notes
+    return _render(args.format, lambda: {
+        "m": field.m, "estimate": estimate,
+        "counts": [{"power": p, "xor_count": c} for p, c in counts],
+    }, headers, rows + [("estimate", estimate)],
+        lambda: render_table(headers, rows) + f"estimate = {estimate}\n")
 
 
 def cmd_errata(args: argparse.Namespace) -> str:
-    if args.format == "json":
-        return render_json({"errata": [{
-            "id": e.eid, "where": e.where, "published": e.published,
-            "computed": e.computed, "note": e.note,
-        } for e in ERRATA]})
-    if args.format == "csv":
-        return render_csv(["id", "where", "published", "computed", "note"],
-                          [(e.eid, e.where, e.published, e.computed, e.note)
-                           for e in ERRATA])
-    blocks = []
-    for e in ERRATA:
-        blocks.append(f"{e.eid}: {e.where}\n"
-                      f"  published: {e.published}\n"
-                      f"  computed:  {e.computed}\n"
-                      f"  note: {e.note}\n")
-    return "\n".join(blocks)
+    return _render(args.format, lambda: {"errata": [{
+        "id": e.eid, "where": e.where, "published": e.published,
+        "computed": e.computed, "note": e.note,
+    } for e in ERRATA]}, ["id", "where", "published", "computed", "note"],
+        [(e.eid, e.where, e.published, e.computed, e.note) for e in ERRATA],
+        lambda: "\n".join(f"{e.eid}: {e.where}\n"
+                          f"  published: {e.published}\n"
+                          f"  computed:  {e.computed}\n"
+                          f"  note: {e.note}\n" for e in ERRATA))
 
 
 # -- parser ------------------------------------------------------------------

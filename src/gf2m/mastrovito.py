@@ -137,12 +137,15 @@ def constant_equations(field: GF2m, i: int) -> list[str]:
 
     One line per output, e.g. "z0 = a0 + a1 + a2".
     """
-    z = constant_mul_matrix(field, i)
+    return _row_equations(constant_mul_matrix(field, i), "a")
+
+
+def _row_equations(z: MastrovitoMatrix, var: str) -> list[str]:
+    """One line "z<i> = <var>j + ..." per row of z; an empty row reads 0."""
     lines = []
-    for r in range(field.m):
-        terms = z.row_terms(r)
-        rhs = " + ".join(f"a{j}" for j in terms) if terms else "0"
-        lines.append(f"z{r} = {rhs}")
+    for i in range(z.m):
+        rhs = " + ".join(f"{var}{j}" for j in z.row_terms(i))
+        lines.append(f"z{i} = {rhs or '0'}")
     return lines
 
 

@@ -19,6 +19,7 @@ batch of assignments can be evaluated in one pass.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping
 
@@ -27,6 +28,7 @@ from .errors import Gf2mError
 __all__ = ["Gate", "Const", "XorNetlist", "NetlistBuilder"]
 
 _KINDS = ("XOR", "AND", "NAND")
+_GATE_ID = re.compile(r"g[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -174,6 +176,9 @@ class NetlistBuilder:
             raise Gf2mError(f"duplicate input name {name!r}")
         if name in self._const_names.values():
             raise Gf2mError(_const_clash(name))
+        if _GATE_ID.fullmatch(name):
+            raise Gf2mError(f"input name {name!r} clashes with a gate id: the "
+                            "builder names its gates g0, g1, ...")
         self._inputs.append(name)
         return name
 

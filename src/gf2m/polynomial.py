@@ -9,7 +9,7 @@ Three text forms are accepted everywhere a polynomial can be typed in:
 
 * binary, most significant coefficient first: ``"10011"``
 * hexadecimal with a 0x prefix: ``"0x13"``
-* a sum of terms in any order: ``"x^4+x+1"``
+* a sum of terms in any order, each at most once: ``"x^4+x+1"``
 
 A term's exponent may be at most ``MAX_TERM_EXPONENT`` (2^20), so a short
 string cannot ask for a gigabyte-sized integer; the binary and hex forms
@@ -171,7 +171,9 @@ def _parse_terms(s: str) -> int:
                 raise Gf2mError(f"term {term!r} has an exponent above "
                                 f"the bound {MAX_TERM_EXPONENT}")
             e = int(digits)
-        bits ^= 1 << e
+        if bits >> e & 1:
+            raise Gf2mError(f"repeated term {term!r}: x^{e} appears twice")
+        bits |= 1 << e
     return bits
 
 
@@ -287,14 +289,18 @@ def order_of_x(f: Gf2Poly) -> int:
 
 
 def is_primitive(f: Gf2Poly) -> bool:
-    """True when x generates the full multiplicative group modulo f."""
+    """True when x generates the full multiplicative group modulo f; False
+    when f is reducible."""
     d = f.degree
     if d is None or d < 1:
         raise DegreeZero("primitivity needs degree >= 1")
     if d == 1:
         # GF(2) has a trivial multiplicative group; x+1 qualifies, x does not.
         return f.bits == 3
-    return order_of_x(f) == (1 << d) - 1
+    try:
+        return order_of_x(f) == (1 << d) - 1
+    except NotIrreducibleInput:
+        return False
 
 
 # One primitive polynomial per degree, bit i = coefficient of x^i,

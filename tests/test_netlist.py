@@ -98,6 +98,10 @@ def test_input_named_like_a_constant_is_rejected_at_the_clash():
     nb.add_input("zero")  # no constant 0 yet, so no clash
     with pytest.raises(Gf2mError, match="'zero' and 'one'"):
         nb.add_input("one")
+    nb = NetlistBuilder()
+    with pytest.raises(Gf2mError, match="names its gates g0, g1"):
+        nb.add_input("g0")
+    assert nb.add_input("g") == "g" and nb.add_input("g0x") == "g0x"
 
 
 def test_simulate_accepts_numpy_arrays():

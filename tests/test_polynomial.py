@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,6 +52,14 @@ def test_term_exponents_are_bounded():
     for bad in (f"x^{MAX_TERM_EXPONENT + 1}", "x^99999999999+1",
                 "x^" + "9" * 5000, "x^" + "0" * 30 + "1048577"):
         with pytest.raises(Gf2mError, match="above the bound"):
+            Gf2Poly.parse(bad)
+
+
+def test_repeated_terms_are_rejected():
+    for bad, term in (("x^4+x^4+x+1", "x^4"), ("1+x^0", "x^0"),
+                      ("x+x^1", "x^1"), ("X^2+x^2", "x^2")):
+        with pytest.raises(Gf2mError,
+                           match=re.escape(f"repeated term '{term}'")):
             Gf2Poly.parse(bad)
 
 
@@ -175,6 +185,8 @@ def test_order_of_x_and_primitivity():
     g = Gf2Poly.parse("10011")
     assert order_of_x(g) == 15
     assert is_primitive(g)
+    # reducible: (x^2 + x + 1)^2; order_of_x raises, is_primitive answers
+    assert not is_primitive(Gf2Poly.parse("10101"))
 
 
 def test_order_of_x_rejects_reducible_and_x():
