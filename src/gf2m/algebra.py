@@ -10,7 +10,6 @@ by solving that trace system over GF(2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from . import bitmatrix
@@ -47,14 +46,19 @@ class ConjugacyClass:
         return len(self.members)
 
 
+def _orbit(field: GF2m, bits: int) -> list[int]:
+    """The squaring orbit bits, bits^2, bits^4, ... up to its first repeat."""
+    orbit = [bits]
+    while (cur := field._exp(orbit[-1], 2)) != bits:
+        orbit.append(cur)
+    return orbit
+
+
 def conjugacy_class(b: FieldElement) -> ConjugacyClass:
     """Repeated squaring until the orbit closes; {0} degenerates to itself."""
-    members = [b]
-    cur = b.square()
-    while cur != b:
-        members.append(cur)
-        cur = cur.square()
-    return ConjugacyClass(b, tuple(members))
+    field = b.field
+    rest = _orbit(field, b.bits)[1:]
+    return ConjugacyClass(b, (b, *(FieldElement(field, x) for x in rest)))
 
 
 def minimal_polynomial(b: FieldElement) -> Gf2Poly:
@@ -65,94 +69,106 @@ def minimal_polynomial(b: FieldElement) -> Gf2Poly:
     coefficient collapses to 0 or 1.  The zero element maps to X.
     """
     field = b.field
-    if b.is_zero:
-        return Gf2Poly(0b10)
-    # coeffs[i] = coefficient of X^i, as field elements during expansion
-    coeffs: list[FieldElement] = [field.one]
-    for root in conjugacy_class(b).members:
-        nxt = [field.zero] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] += root * c
-        coeffs = nxt
-    bits = 0
-    for i, c in enumerate(coeffs):
-        if c.bits > 1:
-            raise AssertionError(
-                f"minimal polynomial coefficient {c!r} not in GF(2)")
-        bits |= c.bits << i
-    return Gf2Poly(bits)
+    # coeffs[i] = coefficient of X^i, as element bits during expansion;
+    # multiplying by (X + root) makes it coeffs[i - 1] + root * coeffs[i]
+    coeffs = [1]
+    for root in _orbit(field, b.bits):
+        coeffs = [hi ^ field._exp(root, 1, lo)
+                  for hi, lo in zip([0, *coeffs], [*coeffs, 0])]
+    if any(c > 1 for c in coeffs):
+        raise AssertionError(f"minimal polynomial coefficients {coeffs} "
+                             "not all in GF(2)")
+    return Gf2Poly(sum(c << i for i, c in enumerate(coeffs)))
 
 
 def roots_in_field(f: Gf2Poly, field: GF2m) -> set[FieldElement]:
     """All elements of the field where f evaluates to zero (Horner scan)."""
     if f.is_zero:
         raise Gf2mError("the zero polynomial has no defined root set")
-    deg = f.bits.bit_length() - 1
     roots = set()
-    for x in field.elements():
-        acc = field.zero
-        for i in range(deg, -1, -1):
-            acc = field.mul_power(acc, x)
-            if (f.bits >> i) & 1:
-                acc += field.one
-        if acc.is_zero:
-            roots.add(x)
+    for x in range(field.order):
+        acc = 0
+        for i in reversed(range(f.bits.bit_length())):
+            acc = field._exp(acc, 1, x) ^ ((f.bits >> i) & 1)
+        if acc == 0:
+            roots.add(FieldElement(field, x))
     return roots
 
 
 def trace(b: FieldElement) -> int:
     """Tr(b) = b + b^2 + b^4 + ... + b^(2^(m-1)), always 0 or 1."""
-    acc = b.field.zero
-    cur = b
-    for _ in range(b.field.m):
-        acc += cur
-        cur = cur.square()
-    if acc.bits > 1:
-        raise AssertionError(f"trace landed outside GF(2): {acc!r}")
-    return acc.bits
+    return _trace(b.field, b.bits)
+
+
+def _trace(field: GF2m, bits: int) -> int:
+    # the m conjugates run through the squaring orbit m / len(orbit) times
+    orbit = _orbit(field, bits)
+    acc = 0
+    for i in range(field.m):
+        acc ^= orbit[i % len(orbit)]
+    if acc > 1:
+        raise AssertionError(f"trace landed outside GF(2): {acc:b}")
+    return acc
 
 
 # -- coordinate systems -------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _coords_matrix(basis: tuple[FieldElement, ...]) -> tuple[int, ...]:
-    """The matrix taking an element's bits to its coordinates over `basis`.
+def _per_field(fn):
+    """Memoize fn(field, *args) in the field itself, so that it is freed
+    with the field; a call that raises stores nothing."""
+    def cached(field: GF2m, *args):
+        key = (fn, *args)
+        if key not in field._memo:
+            field._memo[key] = fn(field, *args)
+        return field._memo[key]
+    return cached
 
-    It is the inverse of the matrix whose columns are the basis vectors;
-    built once per basis, after checking that the basis is one.
-    """
-    _check_basis(basis[0].field, basis)
-    return bitmatrix.inverse(bitmatrix.transpose([e.bits for e in basis],
-                                                 len(basis)))
+
+@_per_field
+def _coords_matrix(field: GF2m, basis: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The map from an element's bits to its coordinates over the basis with
+    these bits: the inverse of the matrix whose columns they are, so one
+    elimination both inverts it and checks the basis (None if not one)."""
+    if len(basis) != field.m:
+        return None
+    return bitmatrix.inverse(bitmatrix.transpose(basis, field.m))
+
+
+@_per_field
+def _trace_matrix(field: GF2m) -> tuple[int, ...]:
+    """Row k has bit i = Tr(alpha^(i+k)): it maps b to (Tr(b * alpha^k))_k,
+    b's coordinates over the dual of the standard basis."""
+    m = field.m
+    tr = [_trace(field, field.antilog_table.item(e)) for e in range(2 * m - 1)]
+    return tuple(sum(tr[i + k] << i for i in range(m)) for k in range(m))
 
 
 def _coords(bits: int, m: int) -> tuple[int, ...]:
     return tuple((bits >> i) & 1 for i in range(m))
 
 
-def _check_basis(field: GF2m, basis: Sequence[FieldElement]) -> None:
+def _basis_matrix(basis: Sequence[FieldElement]) -> tuple[GF2m, tuple[int, ...]]:
+    """The field of `basis` and its coordinate matrix, after checking that
+    `basis` is a basis of that field."""
+    field = basis[0].field
     if len(basis) != field.m:
         raise DependentBasis(f"need {field.m} basis elements, got {len(basis)}")
-    for e in basis:
-        field._same_field(e)
-    if bitmatrix.inverse([e.bits for e in basis]) is None:
+    field._same_field(*basis)
+    inv = _coords_matrix(field, tuple(e.bits for e in basis))
+    if inv is None:
         raise DependentBasis("proposed basis is linearly dependent over GF(2)")
+    return field, inv
 
 
 def find_dual_basis(basis: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
     """The unique {mu_j} with Tr(basis_i * mu_j) = (i == j)."""
-    field = basis[0].field
-    _check_basis(field, basis)
-    m = field.m
+    field, _ = _basis_matrix(basis)
     # gram row i has bit k = Tr(basis_i * alpha^k); mu_j's coordinates
-    # solve gram . c = e_j, so they are the columns of gram^-1.
-    gram = [sum(trace(basis[i] * field.alpha(k)) << k for k in range(m))
-            for i in range(m)]
-    inv = bitmatrix.inverse(gram)
-    if inv is None:
-        raise DependentBasis("trace system is singular for this basis")
-    return tuple(FieldElement(field, col) for col in bitmatrix.transpose(inv, m))
+    # solve gram . c = e_j, so they are the columns of gram^-1, which
+    # exists because the basis is one and the trace form is nondegenerate.
+    gram = [bitmatrix.mul_vec(_trace_matrix(field), e.bits) for e in basis]
+    return tuple(FieldElement(field, col) for col in
+                 bitmatrix.transpose(bitmatrix.inverse(gram), field.m))
 
 
 def dual_basis_coords(b: FieldElement,
@@ -164,13 +180,11 @@ def dual_basis_coords(b: FieldElement,
     coordinate matrix; pass a dual basis itself to get the
     dual-representation coordinates.
     """
-    basis = tuple(basis)
-    inv = _coords_matrix(basis)
-    basis[0].field._same_field(b)
-    return _coords(bitmatrix.mul_vec(inv, b.bits), len(basis))
+    field, inv = _basis_matrix(tuple(basis))
+    field._same_field(b)
+    return _coords(bitmatrix.mul_vec(inv, b.bits), field.m)
 
 
-@lru_cache(maxsize=None)
 def normal_basis(field: GF2m,
                  generator: FieldElement | None = None) -> tuple[FieldElement, ...]:
     """The conjugate basis gamma, gamma^2, gamma^4, ... gamma^(2^(m-1)).
@@ -179,34 +193,35 @@ def normal_basis(field: GF2m,
     are linearly independent is used (alpha^3 for GF(2^4): alpha itself
     fails because its four conjugates sum to zero).
     """
+    return tuple(FieldElement(field, x) for x in _normal_bits(field, generator))
+
+
+def _normal_bits(field: GF2m, generator: FieldElement | None) -> tuple[int, ...]:
+    """The bits of normal_basis(field, generator), after checking generator."""
     if generator is not None:
-        cand = _conjugate_tuple(generator)
-        if cand is None:
-            raise DependentBasis(
-                f"conjugates of {generator!r} do not form a basis")
-        return cand
-    for e in range(1, field.order - 1):
-        cand = _conjugate_tuple(field.alpha(e))
-        if cand is not None:
-            return cand
+        field._same_field(generator)
+    return _normal_orbit(field, None if generator is None else generator.bits)
+
+
+@_per_field
+def _normal_orbit(field: GF2m, generator: int | None) -> tuple[int, ...]:
+    candidates = ((generator,) if generator is not None else
+                  map(field.antilog_table.item, range(1, field.order - 1)))
+    for g in candidates:
+        orbit = tuple(_orbit(field, g))
+        if _coords_matrix(field, orbit) is not None:
+            return orbit
+    if generator is not None:
+        raise DependentBasis(f"conjugates of {FieldElement(field, generator)!r}"
+                             " do not form a basis")
     raise DependentBasis(f"no normal basis generator found for m={field.m}")
-
-
-def _conjugate_tuple(g: FieldElement) -> tuple[FieldElement, ...] | None:
-    field = g.field
-    members = [g]
-    for _ in range(field.m - 1):
-        members.append(members[-1].square())
-    if bitmatrix.inverse([e.bits for e in members]) is None:
-        return None
-    return tuple(members)
 
 
 def normal_basis_coords(b: FieldElement,
                         generator: FieldElement | None = None) -> tuple[int, ...]:
     """Coordinates of b over the normal basis of its field."""
     field = b.field
-    inv = _coords_matrix(normal_basis(field, generator))
+    inv = _coords_matrix(field, _normal_bits(field, generator))
     return _coords(bitmatrix.mul_vec(inv, b.bits), field.m)
 
 
@@ -214,11 +229,11 @@ def from_coords(basis: Sequence[FieldElement],
                 coords: Sequence[int]) -> FieldElement:
     """Rebuild the element sum(coords[k] * basis[k])."""
     field = basis[0].field
-    acc = field.zero
+    field._same_field(*basis)
+    acc = 0
     for c, e in zip(coords, basis):
-        if c & 1:
-            acc += e
-    return acc
+        acc ^= e.bits if c & 1 else 0
+    return FieldElement(field, acc)
 
 
 @dataclass(frozen=True)
@@ -230,33 +245,22 @@ class BasisTriple:
     normal: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
-def _change_of_basis(field: GF2m) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The field's standard-to-dual and standard-to-normal matrices.
-
-    The dual of the dual of the standard basis is the standard basis, so
-    dual coordinate k of b is Tr(b * alpha^k), and row k of the dual
-    matrix has bit i = Tr(alpha^(i+k)).
-    """
+def _triple(field: GF2m, bits: int) -> BasisTriple:
     m = field.m
-    tr = [trace(field.alpha(e)) for e in range(2 * m - 1)]
-    dual = tuple(sum(tr[i + k] << i for i in range(m)) for k in range(m))
-    return dual, _coords_matrix(normal_basis(field))
+    normal = _coords_matrix(field, _normal_orbit(field, None))
+    return BasisTriple(
+        standard=_coords(bits, m),
+        dual=_coords(bitmatrix.mul_vec(_trace_matrix(field), bits), m),
+        normal=_coords(bitmatrix.mul_vec(normal, bits), m),
+    )
 
 
 def basis_triple(b: FieldElement) -> BasisTriple:
-    m = b.field.m
-    dual, normal = _change_of_basis(b.field)
-    return BasisTriple(
-        standard=_coords(b.bits, m),
-        dual=_coords(bitmatrix.mul_vec(dual, b.bits), m),
-        normal=_coords(bitmatrix.mul_vec(normal, b.bits), m),
-    )
+    return _triple(b.field, b.bits)
 
 
 def basis_table(field: GF2m) -> list[tuple[str, BasisTriple]]:
     """Rows (power label, triple) for 0 and every power of alpha."""
-    rows = [("-", basis_triple(field.zero))]
-    for e in range(field.order - 1):
-        rows.append((str(e), basis_triple(field.alpha(e))))
-    return rows
+    return [("-", _triple(field, 0))] + [
+        (str(e), _triple(field, bits))
+        for e, bits in enumerate(field.antilog_table.tolist())]

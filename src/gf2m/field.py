@@ -20,6 +20,10 @@ register chain, and the circuit-level paths live in the mastrovito module.
 Memory for the tables grows as 2^m, 8 bytes per element: degrees are
 capped at MAX_DEGREE = 24, the registry's range, where the tables take
 128 MiB and build in a few tenths of a second.
+
+Inside the library an element is its int bits.  The public methods check
+their FieldElement operands once, compute on ints (every table product
+goes through one kernel, GF2m._exp) and wrap only the value they return.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import (
     ZeroInverse,
     ZeroToZero,
 )
-from .polynomial import Gf2Poly, _xtime, order_of_x, primitive_poly
+from .polynomial import Gf2Poly, _mulmod, _xtime, order_of_x, primitive_poly
 
 __all__ = ["GF2m", "FieldElement", "PowerForm", "MAX_DEGREE"]
 
@@ -98,6 +102,7 @@ class GF2m:
         self.prime_poly = prime_poly
         self.order = 1 << m
         self._phi = prime_poly.bits
+        self._memo: dict = {}  # data derived from the field, freed with it
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -151,8 +156,7 @@ class GF2m:
     def element(self, value: "int | str | FieldElement") -> "FieldElement":
         """Coerce an int, a polynomial/vector string, or an element."""
         if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatch("element belongs to a different field")
+            self._same_field(value)
             return value
         if isinstance(value, str):
             bits = Gf2Poly.parse(value).bits
@@ -168,7 +172,7 @@ class GF2m:
 
     def alpha(self, e: int) -> "FieldElement":
         """alpha^e for any integer exponent e."""
-        return FieldElement(self, int(self.antilog_table[e % (self.order - 1)]))
+        return FieldElement(self, self._exp(0b10, e))  # alpha is x
 
     @property
     def zero(self) -> "FieldElement":
@@ -179,19 +183,25 @@ class GF2m:
         return FieldElement(self, 1)
 
     def elements(self) -> Iterator["FieldElement"]:
-        for bits in range(self.order):
-            yield FieldElement(self, bits)
+        return (FieldElement(self, bits) for bits in range(self.order))
 
     def nonzero_elements(self) -> Iterator["FieldElement"]:
-        for bits in range(1, self.order):
-            yield FieldElement(self, bits)
+        return (FieldElement(self, bits) for bits in range(1, self.order))
 
     def _same_field(self, *elems: "FieldElement") -> None:
         for e in elems:
             if not isinstance(e, FieldElement):
                 raise Gf2mError(f"expected a FieldElement, got {e!r}")
-            if e.field != self:
+            if e.field is not self and e.field != self:
                 raise FieldMismatch("elements belong to different fields")
+
+    def _exp(self, a: int, k: int, b: int = 1) -> int:
+        """a^k * b on element bits, the one table kernel: any integer k,
+        and 0 when a or b is 0 (callers rule out a = 0 with k <= 0)."""
+        if not (a and b):
+            return 0
+        log = self.log_table.item
+        return self.antilog_table.item((k * log(a) + log(b)) % (self.order - 1))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -203,23 +213,19 @@ class GF2m:
     def mul_power(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
         """Multiply through the log/antilog tables (exponent addition)."""
         self._same_field(a, b)
-        if a.bits == 0 or b.bits == 0:
-            return self.zero
-        e = (int(self.log_table[a.bits]) + int(self.log_table[b.bits]))
-        return FieldElement(self, int(self.antilog_table[e % (self.order - 1)]))
+        return FieldElement(self, self._exp(a.bits, 1, b.bits))
 
     def mul_poly(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
         """Multiply as polynomials and reduce mod the defining polynomial."""
         self._same_field(a, b)
-        product = Gf2Poly(a.bits) * Gf2Poly(b.bits)
-        return FieldElement(self, (product % self.prime_poly).bits)
+        return FieldElement(self, _mulmod(a.bits, b.bits, self._phi))
 
     def inverse(self, a: "FieldElement") -> "FieldElement":
         """Multiplicative inverse from the tables: 1/alpha^e = alpha^-e."""
         self._same_field(a)
         if a.bits == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        return self.alpha(-int(self.log_table[a.bits]))
+        return FieldElement(self, self._exp(a.bits, -1))
 
     def inversion_trace(self, a: "FieldElement") -> list["FieldElement"]:
         """Register values 1, a^2, a^6, ... a^(2^m-2) of the inversion circuit.
@@ -231,47 +237,35 @@ class GF2m:
         self._same_field(a)
         if a.bits == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        r = self.one
-        trace = [r]
+        regs = [1]
         for _ in range(self.m - 1):
-            r = self.square(self.mul_power(r, a))
-            trace.append(r)
-        return trace
+            regs.append(self._exp(self._exp(regs[-1], 1, a.bits), 2))
+        return [FieldElement(self, r) for r in regs]
 
     def divide(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
         self._same_field(a, b)
         if b.bits == 0:
             raise DivisionByZero("division by the zero element")
-        return self.mul_power(a, self.inverse(b))
+        return FieldElement(self, self._exp(b.bits, -1, a.bits))
 
     def square(self, a: "FieldElement") -> "FieldElement":
         """a*a via exponent doubling (the squaring matrix lives in mastrovito)."""
         self._same_field(a)
-        if a.bits == 0:
-            return self.zero
-        e = int(self.log_table[a.bits])
-        return self.alpha(2 * e)
+        return FieldElement(self, self._exp(a.bits, 2))
 
     def pow(self, a: "FieldElement", n: int) -> "FieldElement":
         self._same_field(a)
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise Gf2mError(f"exponent must be a non-negative integer, got {n!r}")
-        if a.bits == 0:
-            if n == 0:
-                raise ZeroToZero("0**0 is undefined here")
-            return self.zero
-        if n == 0:
-            return self.one
-        e = int(self.log_table[a.bits])
-        return self.alpha(e * n)
+        if a.bits == 0 and n == 0:
+            raise ZeroToZero("0**0 is undefined here")
+        return FieldElement(self, self._exp(a.bits, n))
 
     # -- representations ----------------------------------------------------
 
     def to_power_form(self, a: "FieldElement") -> PowerForm:
         self._same_field(a)
-        if a.bits == 0:
-            return PowerForm.ZERO
-        return PowerForm(int(self.log_table[a.bits]))
+        return PowerForm(self.log_table.item(a.bits)) if a.bits else PowerForm.ZERO
 
     def from_power_form(self, p: PowerForm) -> "FieldElement":
         if p.exponent is None:
@@ -288,24 +282,22 @@ class GF2m:
 
     def poly_str(self, a: "FieldElement") -> str:
         """Sum of alpha powers, highest degree first; "0" for the zero element."""
-        self._same_field(a)
-        if a.bits == 0:
-            return "0"
-        parts = []
-        for i in range(self.m - 1, -1, -1):
-            if (a.bits >> i) & 1:
-                parts.append("1" if i == 0 else "α" if i == 1 else f"α^{i}")
-        return " + ".join(parts)
+        return self.format_row(a)[1]
 
     def format_row(self, a: "FieldElement") -> tuple[str, str, str]:
         """(power, polynomial, vector) strings, one representation table row."""
-        return (str(self.to_power_form(a)), self.poly_str(a), self.vector_str(a))
+        self._same_field(a)
+        return self._row(a.bits)
+
+    def _row(self, bits: int) -> tuple[str, str, str]:
+        poly = " + ".join("1" if i == 0 else "α" if i == 1 else f"α^{i}"
+                          for i in range(self.m - 1, -1, -1) if (bits >> i) & 1)
+        power = PowerForm(self.log_table.item(bits) if bits else None)
+        return (str(power), poly or "0", format(bits, f"0{self.m}b"))
 
     def table_rows(self) -> list[tuple[str, str, str]]:
         """All 2^m rows of the representation table: 0 first, then alpha^0.."""
-        rows = [self.format_row(self.zero)]
-        rows += [self.format_row(self.alpha(e)) for e in range(self.order - 1)]
-        return rows
+        return [self._row(bits) for bits in [0, *self.antilog_table.tolist()]]
 
 
 def _byte_tables(c: int, m: int, phi: int) -> list[np.ndarray]:

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .bitmatrix import mul_vec, transpose
 from .errors import (
     DimensionMismatch,
-    FieldMismatch,
     Gf2mError,
     NotIrreducible,
     NotPrimitive,
@@ -113,6 +112,7 @@ def mat_vec_mul(z: MastrovitoMatrix, b: FieldElement) -> FieldElement:
     """c_i = GF(2) inner product of row i with b (AND then XOR-fold)."""
     if z.m != b.field.m:
         raise DimensionMismatch(f"{z.m}x{z.m} matrix against {b.field.m}-bit vector")
+    z.field._same_field(b)
     return FieldElement(b.field, mul_vec(z.rows, b.bits))
 
 
@@ -223,8 +223,7 @@ def general_multiplier_netlist(field: GF2m) -> XorNetlist:
 
 
 def _serial_step_netlist(field: GF2m, mode: str) -> XorNetlist:
-    if mode not in ("xor", "nand"):
-        raise Gf2mError(f"mode must be xor or nand, got {mode!r}")
+    # NetlistBuilder.xor2 rejects a mode other than xor and nand
     m, phi = field.m, field.prime_poly.bits
     nb = NetlistBuilder(f"serial multiplier step ({mode}) over GF(2^{m})")
     p = [nb.add_input(f"p_{i}") for i in range(m)]
@@ -245,11 +244,10 @@ def _serial_step_netlist(field: GF2m, mode: str) -> XorNetlist:
 def _xor_bits(x: int, y: int, mask: int, mode: str) -> int:
     if mode == "xor":
         return x ^ y
-    # the four-NAND rewrite, applied bitwise on masked ints
-    def nand(p: int, q: int) -> int:
-        return ~(p & q) & mask
-    t = nand(x, y)
-    return nand(nand(x, t), nand(t, y))
+    # the four-NAND rewrite nand(nand(x, t), nand(t, y)) with t = nand(x, y),
+    # applied bitwise on masked ints
+    t = ~(x & y) & mask
+    return ~(~(x & t) & ~(t & y) & mask) & mask
 
 
 def _serial_mul_bits(m: int, phi: int, a: int, b: int,
@@ -276,8 +274,7 @@ def serial_interleaved_multiply(a: FieldElement, b: FieldElement,
     In nand mode every XOR runs through the four-NAND identity; the result
     must be bit-identical to xor mode.
     """
-    if a.field != b.field:
-        raise FieldMismatch("operands from different fields")
+    a.field._same_field(b)
     if mode not in ("xor", "nand"):
         raise Gf2mError(f"mode must be xor or nand, got {mode!r}")
     field = a.field

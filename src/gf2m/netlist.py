@@ -215,6 +215,8 @@ class NetlistBuilder:
         """A single XOR, or its four-NAND rewrite in nand mode."""
         if mode == "xor":
             return self.gate("XOR", a, b)
+        if mode != "nand":
+            raise Gf2mError(f"mode must be xor or nand, got {mode!r}")
         t = self.gate("NAND", a, b)
         return self.gate("NAND", self.gate("NAND", a, t),
                          self.gate("NAND", t, b))

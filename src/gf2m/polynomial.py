@@ -48,6 +48,7 @@ __all__ = [
 MAX_TERM_EXPONENT = 1 << 20
 
 _TERM_RE = re.compile(r"^(?:1|x(?:\^(\d+))?)$", re.IGNORECASE)
+_HEX_RE = re.compile(r"[0-9a-fA-F]+")
 
 
 @dataclass(frozen=True, order=True)
@@ -69,10 +70,9 @@ class Gf2Poly:
         if not s:
             raise Gf2mError("empty polynomial string")
         if s[:2].lower() == "0x":
-            try:
-                return Gf2Poly(int(s, 16))
-            except ValueError:
-                raise Gf2mError(f"bad hex polynomial {text!r}") from None
+            if not _HEX_RE.fullmatch(s[2:]):
+                raise Gf2mError(f"bad hex polynomial {text!r}")
+            return Gf2Poly(int(s[2:], 16))
         if any(c in s for c in "xX^"):
             return Gf2Poly(_parse_terms(s))
         if set(s) <= {"0", "1"}:
@@ -206,18 +206,22 @@ def _spread(bits: int, step: int) -> int:
     return out
 
 
+def _divmod(n: int, d: int) -> tuple[int, int]:
+    """Quotient and remainder of bit-packed n by bit-packed d != 0."""
+    dlen = d.bit_length()
+    q = 0
+    while (shift := n.bit_length() - dlen) >= 0:
+        q |= 1 << shift
+        n ^= d << shift
+    return q, n
+
+
 def poly_divmod(num: Gf2Poly, den: Gf2Poly) -> tuple[Gf2Poly, Gf2Poly]:
     """Quotient and remainder of polynomial division over GF(2)."""
     if den.is_zero:
         raise DivisionByZeroPoly("polynomial division by zero")
-    n, d = num.bits, den.bits
-    dlen = d.bit_length()
-    q = 0
-    while n.bit_length() >= dlen:
-        shift = n.bit_length() - dlen
-        q |= 1 << shift
-        n ^= d << shift
-    return Gf2Poly(q), Gf2Poly(n)
+    q, r = _divmod(num.bits, den.bits)
+    return Gf2Poly(q), Gf2Poly(r)
 
 
 def substitute_x_power(f: Gf2Poly, e: int) -> Gf2Poly:
@@ -228,12 +232,12 @@ def substitute_x_power(f: Gf2Poly, e: int) -> Gf2Poly:
 
 
 def _mulmod(a: int, b: int, f: int) -> int:
-    return poly_divmod(Gf2Poly(_clmul(a, b)), Gf2Poly(f))[1].bits
+    return _divmod(_clmul(a, b), f)[1]
 
 
 def _powmod(base: int, e: int, f: int) -> int:
-    result = poly_divmod(Gf2Poly(1), Gf2Poly(f))[1].bits
-    cur = poly_divmod(Gf2Poly(base), Gf2Poly(f))[1].bits
+    result = _divmod(1, f)[1]
+    cur = _divmod(base, f)[1]
     while e:
         if e & 1:
             result = _mulmod(result, cur, f)
@@ -250,7 +254,7 @@ def is_irreducible(f: Gf2Poly) -> bool:
     if d == 1:
         return True
     for g in range(2, 1 << (d // 2 + 1)):
-        if poly_divmod(f, Gf2Poly(g))[1].is_zero:
+        if not _divmod(f.bits, g)[1]:
             return False
     return True
 

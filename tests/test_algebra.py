@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from gf2m import (
@@ -195,6 +198,18 @@ def test_coordinate_maps_keep_their_errors(field4):
             dual_basis_coords(field4.one, dependent[:3])
         with pytest.raises(DependentBasis):
             normal_basis_coords(field4.one, field4.alpha(1))
+
+
+def test_coordinate_caches_are_freed_with_their_field():
+    # a polynomial no other test uses, so no equal field shares the caches
+    field = GF2m(6, Gf2Poly.parse("x^6+x^5+1"))
+    ref = weakref.ref(field)
+    basis_table(field)
+    normal_basis_coords(field.alpha(5))
+    dual_basis_coords(field.alpha(5), _standard_basis(field))
+    del field
+    gc.collect()
+    assert ref() is None
 
 
 def test_dependent_set_is_rejected(field4):

@@ -193,6 +193,7 @@ def test_code_analyze_skips_comments_and_blanks(cli, tmp_path):
     ["field", "table", "--m", "25", "--poly", "x^25+x^3+1"],
     ["lfsr", "divide", "--p", "1011", "--g", "x^99999999999+1"],
     ["field", "table", "--m", "4", "--poly", "x^4+x^4+x+1"],
+    ["field", "table", "--m", "4", "--poly", "0x1_3"],
 ])
 def test_validation_errors_exit_2(cli, args):
     proc = cli(*args, expect=2)

@@ -44,6 +44,15 @@ def test_four_nand_xor_rewrite():
             assert nl.simulate({"x": a, "y": b})["o"] == a ^ b
 
 
+@pytest.mark.parametrize("mode", ["XOR", "Nand", "nor", ""])
+def test_xor2_rejects_unknown_modes(mode):
+    nb = NetlistBuilder()
+    x, y = nb.add_input("x"), nb.add_input("y")
+    with pytest.raises(Gf2mError, match="mode must be xor or nand"):
+        nb.xor2(x, y, mode)
+    assert nb.build().gates == ()
+
+
 def test_xor_tree_is_balanced():
     nb = NetlistBuilder()
     leaves = [nb.add_input(f"i{k}") for k in range(8)]

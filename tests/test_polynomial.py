@@ -39,7 +39,8 @@ def test_parse_binary_is_msb_first():
     assert Gf2Poly.parse("1100").bits == 0b1100  # x^3 + x^2
 
 
-@pytest.mark.parametrize("bad", ["", "  ", "0x", "0xg1", "12011", "x^", "y+1"])
+@pytest.mark.parametrize("bad", ["", "  ", "0x", "0xg1", "0x1_3", "0x_13",
+                                 "0x 13", "12011", "x^", "y+1"])
 def test_parse_rejects_malformed_text(bad):
     with pytest.raises(Gf2mError):
         Gf2Poly.parse(bad)
