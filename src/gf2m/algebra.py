@@ -56,9 +56,8 @@ def _orbit(field: GF2m, bits: int) -> list[int]:
 
 def conjugacy_class(b: FieldElement) -> ConjugacyClass:
     """Repeated squaring until the orbit closes; {0} degenerates to itself."""
-    field = b.field
-    rest = _orbit(field, b.bits)[1:]
-    return ConjugacyClass(b, (b, *(FieldElement(field, x) for x in rest)))
+    members = tuple(FieldElement(b.field, x) for x in _orbit(b.field, b.bits))
+    return ConjugacyClass(b, members)
 
 
 def minimal_polynomial(b: FieldElement) -> Gf2Poly:
@@ -128,9 +127,8 @@ def _per_field(fn):
 def _coords_matrix(field: GF2m, basis: tuple[int, ...]) -> tuple[int, ...] | None:
     """The map from an element's bits to its coordinates over the basis with
     these bits: the inverse of the matrix whose columns they are, so one
-    elimination both inverts it and checks the basis (None if not one)."""
-    if len(basis) != field.m:
-        return None
+    elimination both inverts it and checks the basis.  None when they are
+    not one, fewer than m columns making a singular m x m matrix."""
     return bitmatrix.inverse(bitmatrix.transpose(basis, field.m))
 
 
@@ -198,22 +196,21 @@ def normal_basis(field: GF2m,
 
 def _normal_bits(field: GF2m, generator: FieldElement | None) -> tuple[int, ...]:
     """The bits of normal_basis(field, generator), after checking generator."""
-    if generator is not None:
-        field._same_field(generator)
-    return _normal_orbit(field, None if generator is None else generator.bits)
+    if generator is None:
+        return _default_normal_orbit(field)
+    field._same_field(generator)
+    orbit = tuple(_orbit(field, generator.bits))
+    if _coords_matrix(field, orbit) is None:
+        raise DependentBasis(f"conjugates of {generator!r} do not form a basis")
+    return orbit
 
 
 @_per_field
-def _normal_orbit(field: GF2m, generator: int | None) -> tuple[int, ...]:
-    candidates = ((generator,) if generator is not None else
-                  map(field.antilog_table.item, range(1, field.order - 1)))
-    for g in candidates:
-        orbit = tuple(_orbit(field, g))
+def _default_normal_orbit(field: GF2m) -> tuple[int, ...]:
+    for bits in map(field.antilog_table.item, range(1, field.order - 1)):
+        orbit = tuple(_orbit(field, bits))
         if _coords_matrix(field, orbit) is not None:
             return orbit
-    if generator is not None:
-        raise DependentBasis(f"conjugates of {FieldElement(field, generator)!r}"
-                             " do not form a basis")
     raise DependentBasis(f"no normal basis generator found for m={field.m}")
 
 
@@ -247,7 +244,7 @@ class BasisTriple:
 
 def _triple(field: GF2m, bits: int) -> BasisTriple:
     m = field.m
-    normal = _coords_matrix(field, _normal_orbit(field, None))
+    normal = _coords_matrix(field, _default_normal_orbit(field))
     return BasisTriple(
         standard=_coords(bits, m),
         dual=_coords(bitmatrix.mul_vec(_trace_matrix(field), bits), m),

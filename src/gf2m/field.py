@@ -183,10 +183,12 @@ class GF2m:
         return FieldElement(self, 1)
 
     def elements(self) -> Iterator["FieldElement"]:
-        return (FieldElement(self, bits) for bits in range(self.order))
+        for bits in range(self.order):
+            yield FieldElement(self, bits)
 
     def nonzero_elements(self) -> Iterator["FieldElement"]:
-        return (FieldElement(self, bits) for bits in range(1, self.order))
+        for bits in range(1, self.order):
+            yield FieldElement(self, bits)
 
     def _same_field(self, *elems: "FieldElement") -> None:
         for e in elems:
