@@ -37,6 +37,7 @@ from .mastrovito import (
     complexity_report,
     constant_equations,
     constant_mul_matrix,
+    constant_xor_counts,
     emit_netlist,
     general_multiplier_netlist,
     mat_vec_mul,
@@ -86,6 +87,7 @@ __all__ = [
     "conjugacy_class",
     "constant_equations",
     "constant_mul_matrix",
+    "constant_xor_counts",
     "divide",
     "dual_basis_coords",
     "emit_netlist",

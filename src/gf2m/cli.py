@@ -116,19 +116,25 @@ def cmd_field_table(args: argparse.Namespace) -> str:
 
 def cmd_minpolys(args: argparse.Namespace) -> str:
     field = _make_field(args.m)
-    classes = []
-    seen: set[int] = set()
-    for b in [field.zero] + [field.alpha(e) for e in range(field.order - 1)]:
-        if b.bits in seen:
-            continue
-        cls = algebra.conjugacy_class(b)
-        seen.update(member.bits for member in cls.members)
-        powers = sorted((member.power for member in cls.members),
-                        key=lambda power: power.exponent)
+    n = field.order - 1
+
+    def row(powers, b):
         mp = algebra.minimal_polynomial(b)
-        classes.append(([str(power) for power in powers],
-                        mp.to_terms("X", ascending=True, spaced=True),
-                        mp.to_binary()))
+        return ([str(power) for power in powers],
+                mp.to_terms("X", ascending=True, spaced=True), mp.to_binary())
+
+    classes = [row([PowerForm.ZERO], field.zero)]
+    seen: set[int] = set()
+    for e in range(n):
+        if e in seen:
+            continue
+        # the class of alpha^e is its exponent orbit e * 2^k mod n
+        orbit = [e]
+        while (k := 2 * orbit[-1] % n) != e:
+            orbit.append(k)
+        seen.update(orbit)
+        classes.append(row([PowerForm(k) for k in sorted(orbit)],
+                           field.alpha(e)))
     return _render(args.format, lambda: {
         "m": field.m,
         "classes": [{"elements": labels, "minimal_polynomial": terms,
@@ -261,9 +267,8 @@ def cmd_report_gates(args: argparse.Namespace) -> str:
             + "".join(f"note: {n}\n" for n in report.notes)))
     field = _make_field(args.m)
     estimate = str(mastrovito.xor_count_estimate(field.m))
-    counts = [(str(PowerForm(i)),
-               mastrovito.xor_count(mastrovito.constant_mul_matrix(field, i)))
-              for i in range(field.order - 1)]
+    counts = [(str(PowerForm(i)), count) for i, count
+              in enumerate(mastrovito.constant_xor_counts(field))]
     headers = ["power", "xor_count"]
     rows = [(p, str(c)) for p, c in counts]
     return _render(args.format, lambda: {

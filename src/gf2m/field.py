@@ -329,6 +329,8 @@ class FieldElement:
     bits: int
 
     def __post_init__(self) -> None:
+        if type(self.bits) is not int:
+            raise Gf2mError(f"bits must be an int, got {self.bits!r}")
         if not 0 <= self.bits < self.field.order:
             raise Gf2mError(f"bits {self.bits} outside field of order "
                             f"{self.field.order}")

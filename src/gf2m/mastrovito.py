@@ -8,15 +8,17 @@ vector of alpha^(i+j)), whose circuit is pure XOR.  The squaring map is the
 constant matrix with column j = vector of alpha^(2j).
 
 Row i of a constant matrix reads directly as an output equation, e.g.
-"z0 = a0 + a1 + a2"; xor_count totals the "+" operators, and
-xor_count_estimate gives the m^2/2 - m rule-of-thumb those counts are
-usually compared against.
+"z0 = a0 + a1 + a2"; xor_count totals the "+" operators,
+constant_xor_counts gives that total for every alpha^i from the antilog
+table alone, and xor_count_estimate gives the m^2/2 - m rule-of-thumb
+those counts are usually compared against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .bitmatrix import mul_vec, transpose
 from .errors import (
@@ -40,6 +42,7 @@ __all__ = [
     "squaring_matrix",
     "constant_equations",
     "xor_count",
+    "constant_xor_counts",
     "xor_count_estimate",
     "emit_netlist",
     "general_multiplier_netlist",
@@ -152,6 +155,25 @@ def _row_equations(z: MastrovitoMatrix, var: str) -> list[str]:
 def xor_count(z: MastrovitoMatrix) -> int:
     """XOR gates of the row-wise fold: sum of max(0, popcount(row) - 1)."""
     return sum(max(0, row.bit_count() - 1) for row in z.rows)
+
+
+def constant_xor_counts(field: GF2m) -> list[int]:
+    """xor_count(constant_mul_matrix(field, i)) for every i in 0..2^m-2.
+
+    Column j of the alpha^i matrix is alpha^(i+j), and b -> alpha^i * b is
+    invertible, so no row is zero and the sum over rows of
+    max(0, wt(row) - 1) is the matrix's weight less m:
+
+        count(i) = wt(alpha^i) + wt(alpha^(i+1)) + ... + wt(alpha^(i+m-1)) - m
+
+    a window of m popcounts sliding along the antilog table, with exponents
+    taken mod n = 2^m - 1.  That is O(2^m) for all n constants, where
+    building and reading each matrix costs O(m^2) per constant.
+    """
+    m, n = field.m, field.order - 1
+    wt = [bits.bit_count() for bits in field.antilog_table.tolist()]
+    prefix = list(accumulate(wt + wt[:m - 1], initial=0))
+    return [prefix[i + m] - prefix[i] - m for i in range(n)]
 
 
 def xor_count_estimate(m: int) -> Fraction:

@@ -47,7 +47,7 @@ __all__ = [
 
 MAX_TERM_EXPONENT = 1 << 20
 
-_TERM_RE = re.compile(r"^(?:1|x(?:\^(\d+))?)$", re.IGNORECASE)
+_TERM_RE = re.compile(r"^(?:1|x(?:\^([0-9]+))?)$", re.IGNORECASE)
 _HEX_RE = re.compile(r"[0-9a-fA-F]+")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -105,6 +106,14 @@ def test_golden_outputs(capsys, name, args):
     assert capsys.readouterr() == (golden(name), "")
 
 
+def test_report_gates_m13_digest(capsys):
+    # sha256 of the output before the XOR counts came from the antilog table
+    assert main(["report", "gates", "--m", "13"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "e0fc21f282a59381b974e6b36a186d073106f0b965cef56d6c1212772a47f626")
+
+
 def test_identical_invocations_are_byte_identical(cli):
     first = cli("bases", "--m", "4", "--format", "json").stdout
     second = cli("bases", "--m", "4", "--format", "json").stdout
@@ -194,6 +203,7 @@ def test_code_analyze_skips_comments_and_blanks(cli, tmp_path):
     ["lfsr", "divide", "--p", "1011", "--g", "x^99999999999+1"],
     ["field", "table", "--m", "4", "--poly", "x^4+x^4+x+1"],
     ["field", "table", "--m", "4", "--poly", "0x1_3"],
+    ["field", "table", "--m", "4", "--poly", "x^\uff14+x+1"],
 ])
 def test_validation_errors_exit_2(cli, args):
     proc = cli(*args, expect=2)

@@ -265,6 +265,12 @@ def test_element_dunders(field4):
         FieldElement(field4, 16)
 
 
+@pytest.mark.parametrize("bits", [1.5, True, np.int64(3)])
+def test_element_bits_must_be_an_int(field4, bits):
+    with pytest.raises(Gf2mError, match="must be an int"):
+        FieldElement(field4, bits)
+
+
 def test_iteration_counts(field4):
     assert len(list(field4.elements())) == 16
     assert len(list(field4.nonzero_elements())) == 15

@@ -40,7 +40,8 @@ def test_parse_binary_is_msb_first():
 
 
 @pytest.mark.parametrize("bad", ["", "  ", "0x", "0xg1", "0x1_3", "0x_13",
-                                 "0x 13", "12011", "x^", "y+1"])
+                                 "0x 13", "12011", "x^", "y+1",
+                                 "x^\u0663+1", "x^\uff14+x+1"])
 def test_parse_rejects_malformed_text(bad):
     with pytest.raises(Gf2mError):
         Gf2Poly.parse(bad)
