@@ -62,8 +62,56 @@ def render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return buf.getvalue()
 
 
+_encode_str = json.encoder.encode_basestring
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _json_key(k: object) -> str:
+    """A dict key's ``"key": `` prefix, quoted as json quotes it."""
+    if isinstance(k, str):
+        return _encode_str(k) + ": "
+    if k is None or isinstance(k, (int, float)):  # 1 -> "1", True -> "true"
+        return _encode_str(_encode_scalar(k)) + ": "
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
 def render_json(obj: object) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(obj, indent=2, ensure_ascii=False)`` plus a newline.
+
+    With an indent, ``json`` encodes through its pure-Python generator;
+    here each container is one join of its members' strings, and strings
+    and scalars go through ``json``'s C encoders.
+    """
+    prefixes: dict[str, str] = {}  # str keys only, as True == 1 == 1.0
+
+    def encode(o: object, newline: str) -> str:
+        if isinstance(o, str):
+            return _encode_str(o)
+        inner = newline + "  "
+        if isinstance(o, (list, tuple)):
+            brackets = "[]"
+            members = [_encode_str(v) if isinstance(v, str)
+                       else encode(v, inner) for v in o]
+        elif isinstance(o, dict):
+            brackets = "{}"
+            members = []
+            for k, v in o.items():
+                prefix = prefixes.get(k)
+                if prefix is None:
+                    prefix = _json_key(k)
+                    if isinstance(k, str):
+                        prefixes[k] = prefix
+                members.append(prefix + (_encode_str(v) if isinstance(v, str)
+                                         else encode(v, inner)))
+        else:
+            return _encode_scalar(o)
+        if not members:
+            return brackets
+        return (brackets[0] + inner + ("," + inner).join(members)
+                + newline + brackets[1])
+
+    return encode(obj, "\n") + "\n"
 
 
 def _render(fmt: str, doc: Callable[[], object],
@@ -97,7 +145,7 @@ def _render_items(fmt: str, doc: Callable[[], object],
 
 
 def _make_field(m: int, poly_text: str | None = None) -> GF2m:
-    poly = Gf2Poly.parse(poly_text) if poly_text else None
+    poly = Gf2Poly.parse(poly_text) if poly_text is not None else None
     return GF2m(m, poly)
 
 

@@ -298,8 +298,25 @@ class GF2m:
         return (str(power), poly or "0", format(bits, f"0{self.m}b"))
 
     def table_rows(self) -> list[tuple[str, str, str]]:
-        """All 2^m rows of the representation table: 0 first, then alpha^0.."""
-        return [self._row(bits) for bits in [0, *self.antilog_table.tolist()]]
+        """All 2^m rows of the representation table: 0 first, then alpha^0..
+
+        Row k is alpha^(k-1), in antilog order.  Its polynomial joins those
+        of the high and low halves of its bits, looked up in two tables
+        that `_row` fills.
+        """
+        m, low = self.m, self.m // 2
+        mask = (1 << low) - 1
+        highs = [self._row(h << low)[1] if h else ""
+                 for h in range(1 << (m - low))]
+        lows = [self._row(b)[1] if b else "" for b in range(1 << low)]
+        vector = f"0{m}b"
+        rows = [self._row(0)]
+        for k, bits in enumerate(self.antilog_table.tolist()):
+            high, rest = highs[bits >> low], lows[bits & mask]
+            rows.append((f"α^{k}",
+                         f"{high} + {rest}" if high and rest else high or rest,
+                         format(bits, vector)))
+        return rows
 
 
 def _byte_tables(c: int, m: int, phi: int) -> list[np.ndarray]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gf2m import GF2m
+from gf2m import GF2m, Gf2Poly, is_primitive, primitive_poly
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -42,3 +42,16 @@ def cli():
 
 def golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+def fields_up_to(top: int):
+    """GF(2^m) for m = 2..top over the default polynomial and, where there
+    is one, the least other primitive polynomial of degree m."""
+    for m in range(2, top + 1):
+        default = primitive_poly(m)
+        yield GF2m(m, default)
+        other = next((Gf2Poly(bits) for bits in range((1 << m) + 1, 2 << m, 2)
+                      if bits != default.bits and is_primitive(Gf2Poly(bits))),
+                     None)
+        if other is not None:
+            yield GF2m(m, other)

@@ -7,10 +7,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import golden
 
-from gf2m.cli import main
+from gf2m.cli import main, render_json
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -114,6 +115,14 @@ def test_report_gates_m13_digest(capsys):
         "e0fc21f282a59381b974e6b36a186d073106f0b965cef56d6c1212772a47f626")
 
 
+def test_field_table_m15_json_digest(capsys):
+    # sha256 of the output of json.dumps and per-element row formatting
+    assert main(["field", "table", "--m", "15", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "5fc1c611b277cbe8f9c46835d506e4520fae263b9f2f50c0da1caa3c59ee4400")
+
+
 def test_identical_invocations_are_byte_identical(cli):
     first = cli("bases", "--m", "4", "--format", "json").stdout
     second = cli("bases", "--m", "4", "--format", "json").stdout
@@ -139,6 +148,32 @@ def test_json_outputs_parse_and_keep_key_order(cli):
     out = cli("errata", "--format", "json").stdout
     doc = json.loads(out)
     assert len(doc["errata"]) >= 4
+
+
+# strings with non-ASCII, quote, backslash and control characters
+json_text = st.text(st.sampled_from(
+    "ab\u00e9\u03b1\U0001d400\"\\\n\t\x00\x1f\u2028 "))
+# floats include nan and inf, which json writes as NaN and Infinity
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | json_text)
+json_values = st.recursive(json_scalars, lambda inner: (
+    st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(json_scalars, inner, max_size=4)), max_leaves=20)
+
+
+@given(json_values)
+@example([{1: 0}, {True: 0}, {1.0: 0}])  # equal keys, quoted differently
+def test_render_json_matches_json_dumps(value):
+    assert render_json(value) == json.dumps(
+        value, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("value", [{(1, 2): 3}, [object()]])
+def test_render_json_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError):
+        render_json(value)
 
 
 def test_custom_defining_polynomial(cli):
@@ -204,6 +239,7 @@ def test_code_analyze_skips_comments_and_blanks(cli, tmp_path):
     ["field", "table", "--m", "4", "--poly", "x^4+x^4+x+1"],
     ["field", "table", "--m", "4", "--poly", "0x1_3"],
     ["field", "table", "--m", "4", "--poly", "x^\uff14+x+1"],
+    ["field", "table", "--m", "3", "--poly", ""],
 ])
 def test_validation_errors_exit_2(cli, args):
     proc = cli(*args, expect=2)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import fields_up_to
 from gf2m import GF2m, FieldElement, Gf2Poly, PowerForm, is_primitive
 from gf2m.errors import (
     DivisionByZero,
@@ -138,6 +139,14 @@ def test_table_rows_shape_and_anchors(field4):
     assert rows[1] == ("α^0", "1", "0001")
     assert rows[8] == ("α^7", "α^3 + α + 1", "1011")
     assert rows[15] == ("α^14", "α^3 + 1", "1001")
+
+
+def test_table_rows_match_format_row():
+    # the rows come from half-width lookups; format_row formats one element
+    for field in fields_up_to(16):
+        want = [field.format_row(field.zero)] + [
+            field.format_row(field.alpha(k)) for k in range(field.order - 1)]
+        assert field.table_rows() == want, field
 
 
 def test_power_form_str_and_zero(field4):

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import fields_up_to
 from gf2m import (
     GF2m,
-    Gf2Poly,
     SerialStepSpec,
     build_z_matrix,
     complexity_report,
@@ -17,9 +17,7 @@ from gf2m import (
     constant_xor_counts,
     emit_netlist,
     general_multiplier_netlist,
-    is_primitive,
     mat_vec_mul,
-    primitive_poly,
     serial_interleaved_multiply,
     squaring_matrix,
     symbolic_z_matrix,
@@ -127,28 +125,15 @@ def test_gf16_xor_counts(field4):
     assert got == GF16_XOR_COUNTS
 
 
-def _fields_up_to(top: int):
-    """GF(2^m) for m = 2..top over the default polynomial and, where there
-    is one, the least other primitive polynomial of degree m."""
-    for m in range(2, top + 1):
-        default = primitive_poly(m)
-        yield GF2m(m, default)
-        other = next((Gf2Poly(bits) for bits in range((1 << m) + 1, 2 << m, 2)
-                      if bits != default.bits and is_primitive(Gf2Poly(bits))),
-                     None)
-        if other is not None:
-            yield GF2m(m, other)
-
-
 def test_constant_xor_counts_match_the_matrices():
-    for field in _fields_up_to(12):
+    for field in fields_up_to(12):
         want = [xor_count(constant_mul_matrix(field, i))
                 for i in range(field.order - 1)]
         assert constant_xor_counts(field) == want, field
 
 
 def test_constant_xor_counts_match_the_netlists():
-    for field in _fields_up_to(6):
+    for field in fields_up_to(6):
         want = [emit_netlist(constant_mul_matrix(field, i)).gate_counts()["XOR"]
                 for i in range(field.order - 1)]
         assert constant_xor_counts(field) == want, field
