@@ -66,24 +66,15 @@ _encode_str = json.encoder.encode_basestring
 _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _json_key(k: object) -> str:
-    """A dict key's ``"key": `` prefix, quoted as json quotes it."""
-    if isinstance(k, str):
-        return _encode_str(k) + ": "
-    if k is None or isinstance(k, (int, float)):  # 1 -> "1", True -> "true"
-        return _encode_str(_encode_scalar(k)) + ": "
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
 def render_json(obj: object) -> str:
     """``json.dumps(obj, indent=2, ensure_ascii=False)`` plus a newline.
 
-    With an indent, ``json`` encodes through its pure-Python generator;
+    Every dict key must be a str, as in every document the CLI builds;
+    any other key raises TypeError.  With an indent, ``json`` encodes through its pure-Python generator;
     here each container is one join of its members' strings, and strings
     and scalars go through ``json``'s C encoders.
     """
-    prefixes: dict[str, str] = {}  # str keys only, as True == 1 == 1.0
+    prefixes: dict[str, str] = {}
 
     def encode(o: object, newline: str) -> str:
         if isinstance(o, str):
@@ -99,9 +90,7 @@ def render_json(obj: object) -> str:
             for k, v in o.items():
                 prefix = prefixes.get(k)
                 if prefix is None:
-                    prefix = _json_key(k)
-                    if isinstance(k, str):
-                        prefixes[k] = prefix
+                    prefix = prefixes[k] = _encode_str(k) + ": "
                 members.append(prefix + (_encode_str(v) if isinstance(v, str)
                                          else encode(v, inner)))
         else:

@@ -28,7 +28,6 @@ goes through one kernel, GF2m._exp) and wrap only the value they return.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
@@ -39,13 +38,19 @@ from .errors import (
     FieldMismatch,
     Gf2mError,
     NotIrreducible,
-    NotIrreducibleInput,
     NotPrimitive,
     UnsupportedDegree,
     ZeroInverse,
     ZeroToZero,
 )
-from .polynomial import Gf2Poly, _mulmod, _xtime, order_of_x, primitive_poly
+from .polynomial import (
+    Gf2Poly,
+    _mulmod,
+    _xtime,
+    is_irreducible,
+    is_primitive,
+    primitive_poly,
+)
 
 __all__ = ["GF2m", "FieldElement", "PowerForm", "MAX_DEGREE"]
 
@@ -90,12 +95,11 @@ class GF2m:
         if prime_poly.degree != m:
             raise Gf2mError(
                 f"defining polynomial has degree {prime_poly.degree}, expected {m}")
-        try:
-            primitive = order_of_x(prime_poly) == (1 << m) - 1
-        except NotIrreducibleInput:
-            raise NotIrreducible(
-                f"{prime_poly.to_terms()} factors over GF(2)") from None
-        if not primitive:
+        if not is_primitive(prime_poly):
+            # trial division only names the failure
+            if not is_irreducible(prime_poly):
+                raise NotIrreducible(
+                    f"{prime_poly.to_terms()} factors over GF(2)")
             raise NotPrimitive(f"{prime_poly.to_terms()} is irreducible but its "
                                "root does not generate the multiplicative group")
         self.m = m
@@ -108,7 +112,7 @@ class GF2m:
     def _build_tables(self) -> None:
         m, phi = self.m, self._phi
         n = self.order - 1
-        antilog = np.empty(n, dtype=np.uint32)
+        antilog = np.empty(n, dtype="<u4")  # bytes least significant first
         log = np.empty(self.order, dtype=np.int32)
         log[0] = -1
         k = min(n, _SEED_POWERS)
@@ -117,10 +121,7 @@ class GF2m:
             powers.append(_xtime(powers[-1], m, phi))
         antilog[:k] = powers
         log[antilog[:k]] = np.arange(k, dtype=np.int32)
-        # byte j of every entry, least significant first
-        planes = antilog.view(np.uint8).reshape(n, 4)
-        if sys.byteorder == "big":
-            planes = planes[:, ::-1]
+        planes = antilog.view(np.uint8).reshape(n, 4)  # byte j of every entry
         while k < n:
             # antilog[k:2k] = alpha^k * antilog[0:k], a chunk at a time so
             # that the temporaries stay small and in cache
@@ -292,17 +293,17 @@ class GF2m:
         return self._row(a.bits)
 
     def _row(self, bits: int) -> tuple[str, str, str]:
-        poly = " + ".join("1" if i == 0 else "α" if i == 1 else f"α^{i}"
-                          for i in range(self.m - 1, -1, -1) if (bits >> i) & 1)
         power = PowerForm(self.log_table.item(bits) if bits else None)
-        return (str(power), poly or "0", format(bits, f"0{self.m}b"))
+        return (str(power), Gf2Poly(bits).to_terms("α", spaced=True),
+                format(bits, f"0{self.m}b"))
 
     def table_rows(self) -> list[tuple[str, str, str]]:
         """All 2^m rows of the representation table: 0 first, then alpha^0..
 
         Row k is alpha^(k-1), in antilog order.  Its polynomial joins those
         of the high and low halves of its bits, looked up in two tables
-        that `_row` fills.
+        that `_row` fills from `Gf2Poly.to_terms`, the one polynomial
+        formatter.
         """
         m, low = self.m, self.m // 2
         mask = (1 << low) - 1

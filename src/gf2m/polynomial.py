@@ -273,6 +273,17 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _order_of_x(f: int, n: int) -> int:
+    """Order of x modulo bit-packed f, a divisor of n; 0 when x^n != 1."""
+    if _powmod(2, n, f) != 1:
+        return 0
+    order = n
+    for p in _prime_factors(n):
+        while order % p == 0 and _powmod(2, order // p, f) == 1:
+            order //= p
+    return order
+
+
 def order_of_x(f: Gf2Poly) -> int:
     """Multiplicative order of x modulo f, for irreducible f."""
     d = f.degree
@@ -282,29 +293,21 @@ def order_of_x(f: Gf2Poly) -> int:
         raise NotIrreducibleInput(f"{f} factors over GF(2)")
     if f.bits == 2:  # f = x: x is zero mod f, no order
         raise NotIrreducibleInput("x has no multiplicative order modulo x")
-    n = (1 << d) - 1
-    if _powmod(2, n, f.bits) != 1:
+    order = _order_of_x(f.bits, (1 << d) - 1)
+    if not order:
         raise AssertionError(f"x^(2^{d}-1) != 1 mod {f}, field axiom broken")
-    order = n
-    for p in _prime_factors(n):
-        while order % p == 0 and _powmod(2, order // p, f.bits) == 1:
-            order //= p
     return order
 
 
 def is_primitive(f: Gf2Poly) -> bool:
-    """True when x generates the full multiplicative group modulo f; False
-    when f is reducible."""
+    """True when x generates the full multiplicative group modulo f, by the
+    order test alone: modulo a reducible f of degree d there are fewer than
+    2^d - 1 units, so a reducible f (or f = x) answers False."""
     d = f.degree
     if d is None or d < 1:
         raise DegreeZero("primitivity needs degree >= 1")
-    if d == 1:
-        # GF(2) has a trivial multiplicative group; x+1 qualifies, x does not.
-        return f.bits == 3
-    try:
-        return order_of_x(f) == (1 << d) - 1
-    except NotIrreducibleInput:
-        return False
+    n = (1 << d) - 1
+    return _order_of_x(f.bits, n) == n
 
 
 # One primitive polynomial per degree, bit i = coefficient of x^i,

@@ -43,13 +43,26 @@ def test_rejects_wrong_degree_polynomial(field4):
 
 
 def test_rejects_reducible_polynomial():
-    with pytest.raises(NotIrreducible):
-        GF2m(4, Gf2Poly.parse("10101"))  # (x^2+x+1)^2
+    # (x^2+x+1)^2; x^4, where x is no unit; and (x^3+x+1)(x^3+x^2+1),
+    # where x^63 = 1 but x has order 7
+    for m, text in [(4, "10101"), (4, "10000"), (6, "1111111")]:
+        with pytest.raises(NotIrreducible, match="factors over GF"):
+            GF2m(m, Gf2Poly.parse(text))
 
 
 def test_rejects_irreducible_but_imprimitive_polynomial():
     with pytest.raises(NotPrimitive):
         GF2m(4, Gf2Poly.parse("11111"))  # order of x is 5
+
+
+def test_primitive_polynomial_builds_without_trial_division(monkeypatch):
+    def trial_division(f):
+        raise AssertionError(f"trial division of {f}")
+
+    monkeypatch.setattr("gf2m.field.is_irreducible", trial_division)
+    monkeypatch.setattr("gf2m.polynomial.is_irreducible", trial_division)
+    assert GF2m(16).order == 1 << 16
+    assert GF2m(4, Gf2Poly.parse("x^4+x^3+1")).alpha(4).bits == 0b1001
 
 
 def test_alternate_primitive_polynomial_accepted():

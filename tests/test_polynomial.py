@@ -203,6 +203,16 @@ def test_degree_one_primitivity():
     assert not is_primitive(Gf2Poly.parse("10"))  # x vanishes at its root
 
 
+def test_order_test_alone_decides_primitivity():
+    # an x of order 2^d - 1 certifies f irreducible, so no trial division
+    for d in range(1, 13):
+        for bits in range(1 << d, 2 << d):
+            f = Gf2Poly(bits)
+            assert is_primitive(f) == (
+                is_irreducible(f) and bits != 0b10
+                and order_of_x(f) == (1 << d) - 1), f
+
+
 def test_registry_polynomials_pass_both_tests():
     for m, text in PRIMITIVE_POLY_STRINGS.items():
         f = Gf2Poly.parse(text)
