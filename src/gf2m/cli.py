@@ -69,10 +69,10 @@ _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 def render_json(obj: object) -> str:
     """``json.dumps(obj, indent=2, ensure_ascii=False)`` plus a newline.
 
-    Every dict key must be a str, as in every document the CLI builds;
-    any other key raises TypeError.  With an indent, ``json`` encodes through its pure-Python generator;
+    With an indent, ``json`` encodes through its pure-Python generator;
     here each container is one join of its members' strings, and strings
-    and scalars go through ``json``'s C encoders.
+    and scalars go through ``json``'s C encoders.  Every dict key must be a
+    str, as in every document the CLI builds; any other raises TypeError.
     """
     prefixes: dict[str, str] = {}
 
