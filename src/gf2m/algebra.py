@@ -141,10 +141,6 @@ def _trace_matrix(field: GF2m) -> tuple[int, ...]:
     return tuple(sum(tr[i + k] << i for i in range(m)) for k in range(m))
 
 
-def _coords(bits: int, m: int) -> tuple[int, ...]:
-    return tuple((bits >> i) & 1 for i in range(m))
-
-
 def _basis_matrix(basis: Sequence[FieldElement]) -> tuple[GF2m, tuple[int, ...]]:
     """The field of `basis` and its coordinate matrix, after checking that
     `basis` is a basis of that field."""
@@ -180,7 +176,7 @@ def dual_basis_coords(b: FieldElement,
     """
     field, inv = _basis_matrix(tuple(basis))
     field._same_field(b)
-    return _coords(bitmatrix.mul_vec(inv, b.bits), field.m)
+    return bitmatrix.unpack(bitmatrix.mul_vec(inv, b.bits), field.m)
 
 
 def normal_basis(field: GF2m,
@@ -219,7 +215,7 @@ def normal_basis_coords(b: FieldElement,
     """Coordinates of b over the normal basis of its field."""
     field = b.field
     inv = _coords_matrix(field, _normal_bits(field, generator))
-    return _coords(bitmatrix.mul_vec(inv, b.bits), field.m)
+    return bitmatrix.unpack(bitmatrix.mul_vec(inv, b.bits), field.m)
 
 
 def from_coords(basis: Sequence[FieldElement],
@@ -246,9 +242,9 @@ def _triple(field: GF2m, bits: int) -> BasisTriple:
     m = field.m
     normal = _coords_matrix(field, _default_normal_orbit(field))
     return BasisTriple(
-        standard=_coords(bits, m),
-        dual=_coords(bitmatrix.mul_vec(_trace_matrix(field), bits), m),
-        normal=_coords(bitmatrix.mul_vec(normal, bits), m),
+        standard=bitmatrix.unpack(bits, m),
+        dual=bitmatrix.unpack(bitmatrix.mul_vec(_trace_matrix(field), bits), m),
+        normal=bitmatrix.unpack(bitmatrix.mul_vec(normal, bits), m),
     )
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Sequence
 
-__all__ = ["transpose", "mul_vec", "inverse"]
+__all__ = ["transpose", "mul_vec", "inverse", "unpack"]
 
 
 def transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
@@ -69,3 +69,8 @@ def inverse(rows: Sequence[int]) -> tuple[int, ...] | None:
             if r != col and (work[r] >> col) & 1:
                 work[r] ^= work[col]
     return tuple(row >> n for row in work)
+
+
+def unpack(v: int, n: int) -> tuple[int, ...]:
+    """The n coordinates of the vector v as 0/1 ints, coordinate 0 first."""
+    return tuple([(v >> i) & 1 for i in range(n)])

@@ -1,8 +1,8 @@
 """Block-code measurements: Hamming distance, minimum distance, and the
 derived detect/correct/rate figures.
 
-Codewords are binary strings ("010...") of one common length n.  Rates are
-exact rationals, never floats.
+Codewords are binary strings ("010...") of one common length n, compared as
+ints inside.  Rates are exact rationals, never floats.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ __all__ = ["CodeBook", "CodeCapabilities", "hamming_distance", "min_distance",
            "capabilities", "analyze"]
 
 
-def _check_word(word: str) -> str:
+def _check_word(word: str) -> None:
     if not word or set(word) - {"0", "1"}:
         raise Gf2mError(f"codeword must be a nonempty binary string, got {word!r}")
-    return word
 
 
 def hamming_distance(x: str, y: str) -> int:
@@ -40,26 +39,29 @@ class CodeBook:
     words: frozenset[str]
     k: int | None = None
 
+    def __post_init__(self) -> None:
+        for w in self.words:
+            _check_word(w)
+        if not self.words:
+            raise Gf2mError("empty codebook")
+        lengths = {len(w) for w in self.words}
+        if lengths != {self.n}:
+            raise LengthMismatch(f"mixed word lengths {sorted(lengths | {self.n})}")
+
     @staticmethod
     def from_words(words: Iterable[str], k: int | None = None) -> "CodeBook":
-        ws = frozenset(_check_word(w) for w in words)
-        if not ws:
-            raise Gf2mError("empty codebook")
-        lengths = {len(w) for w in ws}
-        if len(lengths) != 1:
-            raise LengthMismatch(f"mixed word lengths {sorted(lengths)}")
-        n = lengths.pop()
+        ws = frozenset(words)
         if k is None and len(ws).bit_count() == 1:
             k = len(ws).bit_length() - 1  # |words| = 2^k
-        return CodeBook(n, ws, k)
+        return CodeBook(len(next(iter(ws), "")), ws, k)
 
 
 def min_distance(book: CodeBook) -> int:
     """Exhaustive pairwise minimum Hamming distance."""
     if len(book.words) < 2:
         raise TooFewWords("minimum distance needs at least two words")
-    return min(hamming_distance(x, y)
-               for x, y in combinations(sorted(book.words), 2))
+    ints = [int(w, 2) for w in book.words]
+    return min((x ^ y).bit_count() for x, y in combinations(ints, 2))
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
-import numpy as np
-
 from .errors import (
     DivisionByZero,
     FieldMismatch,
@@ -110,6 +108,7 @@ class GF2m:
         self._build_tables()
 
     def _build_tables(self) -> None:
+        import numpy as np  # loaded by the first field build, not on import
         m, phi = self.m, self._phi
         n = self.order - 1
         antilog = np.empty(n, dtype="<u4")  # bytes least significant first
@@ -320,7 +319,7 @@ class GF2m:
         return rows
 
 
-def _byte_tables(c: int, m: int, phi: int) -> list[np.ndarray]:
+def _byte_tables(c: int, m: int, phi: int) -> list:
     """Tables for multiplying m-bit values by the constant c, byte by byte.
 
     Multiplying by c is GF(2)-linear, so c * x is the XOR over the bytes
@@ -328,6 +327,7 @@ def _byte_tables(c: int, m: int, phi: int) -> list[np.ndarray]:
     byte value v.  Each table is filled by doubling: the entries with bit
     b set are those below 2^b XOR c * alpha^(8j+b).
     """
+    import numpy as np
     tables = []
     col = c  # c * alpha^(8j+b)
     for _ in range((m + 7) // 8):

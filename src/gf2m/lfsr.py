@@ -1,8 +1,12 @@
 """Clock-accurate LFSR simulation and LFSR polynomial division.
 
 A register built from g(x) of degree d has d flip-flops, regs[i] being the
-stage called X^i in the usual division tables.  Internal (divider) feedback
-taps sit at {i < d : g_i = 1}; stepping computes
+stage called X^i in the usual division tables; inside the module the
+register is an int with bit i = regs[i], and tuples of stages exist only at
+the public boundary.  One `step` clocks the kind `LfsrConfig.feedback` names.
+
+Internal (divider) feedback taps sit at {i < d : g_i = 1}; a clock is
+multiply-by-x mod g with the input XORed into stage 0:
 
     f = regs[d-1]
     regs'[0] = input xor f          (g_0 = 1)
@@ -22,11 +26,13 @@ With a primitive g and any nonzero seed the autonomous register walks all
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
+from .bitmatrix import unpack
 from .errors import BadConnectionPolynomial, Gf2mError, WidthMismatch
-from .polynomial import Gf2Poly, poly_divmod
+from .polynomial import Gf2Poly, _xtime
 
-__all__ = ["LfsrConfig", "TraceRow", "from_polynomial", "step", "step_external",
+__all__ = ["LfsrConfig", "TraceRow", "from_polynomial", "step",
            "divide", "state_sequence", "period"]
 
 
@@ -34,6 +40,14 @@ __all__ = ["LfsrConfig", "TraceRow", "from_polynomial", "step", "step_external",
 class LfsrConfig:
     g: Gf2Poly
     feedback: str  # "internal" | "external"
+
+    def __post_init__(self) -> None:
+        if self.degree < 1 or not self.g.bits & 1:
+            raise BadConnectionPolynomial(
+                "connection polynomial needs degree >= 1 and constant term 1")
+        if self.feedback not in ("internal", "external"):
+            raise BadConnectionPolynomial(
+                f"unknown feedback kind {self.feedback!r}")
 
     @property
     def degree(self) -> int:
@@ -54,45 +68,33 @@ class TraceRow:
 
 
 def from_polynomial(g: Gf2Poly, feedback: str = "internal") -> LfsrConfig:
-    d = g.bits.bit_length() - 1
-    if d < 1 or not g.bits & 1:
-        raise BadConnectionPolynomial(
-            "connection polynomial needs degree >= 1 and constant term 1")
-    if feedback not in ("internal", "external"):
-        raise BadConnectionPolynomial(f"unknown feedback kind {feedback!r}")
     return LfsrConfig(g, feedback)
 
 
-def _check_state(config: LfsrConfig, state: tuple[int, ...]) -> None:
+def _regs(config: LfsrConfig, state: tuple[int, ...]) -> int:
     if len(state) != config.degree:
         raise WidthMismatch(
             f"state has {len(state)} bits, register has {config.degree}")
+    if set(state) - {0, 1}:
+        raise Gf2mError(f"register stages must be 0 or 1, got {state!r}")
+    return sum(b << i for i, b in enumerate(state))
+
+
+def _clock(config: LfsrConfig) -> Callable[[int, int], int]:
+    """The register's clock on ints: (regs, input bit) -> regs after."""
+    d, g = config.degree, config.g.bits
+    if config.feedback == "internal":
+        return lambda regs, bit: _xtime(regs, d, g) ^ bit
+    mask, taps = (1 << d) - 1, g >> 1  # g_i taps stage i-1; g_d taps d-1
+    return lambda regs, bit: (
+        ((regs << 1) & mask) | (((regs & taps).bit_count() & 1) ^ bit))
 
 
 def step(config: LfsrConfig, state: tuple[int, ...],
          input_bit: int) -> tuple[int, ...]:
-    """One internal-feedback (divider) clock."""
-    _check_state(config, state)
-    d = config.degree
-    g = config.g.bits
-    f = state[d - 1]
-    nxt = [input_bit & 1 ^ f]
-    for i in range(1, d):
-        nxt.append(state[i - 1] ^ (f if (g >> i) & 1 else 0))
-    return tuple(nxt)
-
-
-def step_external(config: LfsrConfig, state: tuple[int, ...],
-                  input_bit: int = 0) -> tuple[int, ...]:
-    """One external-feedback (Fibonacci) clock."""
-    _check_state(config, state)
-    d = config.degree
-    g = config.g.bits
-    feedback = state[d - 1]  # the degree-d term always taps the last stage
-    for i in range(1, d):
-        if (g >> i) & 1:
-            feedback ^= state[i - 1]
-    return ((feedback ^ (input_bit & 1)),) + state[:-1]
+    """One clock of the register kind config.feedback names."""
+    regs = _clock(config)(_regs(config, state), input_bit & 1)
+    return unpack(regs, config.degree)
 
 
 def divide(p: Gf2Poly, g: Gf2Poly) -> tuple[Gf2Poly, tuple[TraceRow, ...]]:
@@ -102,44 +104,38 @@ def divide(p: Gf2Poly, g: Gf2Poly) -> tuple[Gf2Poly, tuple[TraceRow, ...]]:
     the zero polynomial contributes a single 0 bit.  After the last clock
     the register holds p mod g, which must match the arithmetic remainder.
     """
-    config = from_polynomial(g, "internal")
+    config = LfsrConfig(g, "internal")
     d = config.degree
-    state = (0,) * d
-    stream = ([(p.bits >> i) & 1 for i in range(p.bits.bit_length() - 1, -1, -1)]
-              if p.bits else [0])
+    clock = _clock(config)
+    regs = 0
     rows = []
-    for clock, bit in enumerate(stream, start=1):
-        f = state[d - 1]
-        state = step(config, state, bit)
-        rows.append(TraceRow(clock, bit, state, f))
-    remainder = Gf2Poly(sum(b << i for i, b in enumerate(state)))
-    return remainder, tuple(rows)
+    for n, bit in enumerate(map(int, format(p.bits, "b")), start=1):
+        f = regs >> (d - 1)
+        regs = clock(regs, bit)
+        rows.append(TraceRow(n, bit, unpack(regs, d), f))
+    return Gf2Poly(regs), tuple(rows)
 
 
 def state_sequence(config: LfsrConfig, seed: tuple[int, ...],
                    clocks: int) -> list[tuple[int, ...]]:
     """States after each of `clocks` autonomous steps (zero input)."""
-    stepper = step if config.feedback == "internal" else step_external
+    clock = _clock(config)
+    regs = _regs(config, seed)
     out = []
-    state = seed
     for _ in range(clocks):
-        state = stepper(config, state, 0)
-        out.append(state)
+        regs = clock(regs, 0)
+        out.append(unpack(regs, config.degree))
     return out
 
 
 def period(config: LfsrConfig, seed: tuple[int, ...]) -> int:
     """Clocks until the autonomous register first revisits the seed."""
-    _check_state(config, seed)
-    if not any(seed):
+    start = regs = _regs(config, seed)
+    if not start:
         raise Gf2mError("period of the all-zero state is degenerate")
-    stepper = step if config.feedback == "internal" else step_external
-    state = stepper(config, seed, 0)
-    n = 1
-    limit = 1 << config.degree
-    while state != seed:
-        state = stepper(config, state, 0)
-        n += 1
-        if n > limit:
-            raise AssertionError("state space exhausted without revisiting seed")
-    return n
+    clock = _clock(config)
+    for n in range(1, 1 << config.degree):
+        regs = clock(regs, 0)
+        if regs == start:
+            return n
+    raise AssertionError("state space exhausted without revisiting seed")

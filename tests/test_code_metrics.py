@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gf2m.code_metrics import (
     CodeBook,
@@ -61,6 +63,17 @@ def test_codebook_validation():
         CodeBook.from_words(["0x1"])
 
 
+@pytest.mark.parametrize("n, words, error", [
+    (3, frozenset({"0a1"}), Gf2mError),
+    (3, frozenset({"00", "111"}), LengthMismatch),
+    (3, frozenset(), Gf2mError),
+    (3, frozenset({"00", "01"}), LengthMismatch),  # n disagrees with the words
+])
+def test_direct_construction_checks_what_from_words_checks(n, words, error):
+    with pytest.raises(error):
+        CodeBook(n, words)
+
+
 def test_min_distance_needs_two_words():
     with pytest.raises(TooFewWords):
         min_distance(CodeBook.from_words(["1010"]))
@@ -70,6 +83,16 @@ def test_min_distance_examples():
     assert min_distance(CodeBook.from_words(["000", "111"])) == 3
     parity = CodeBook.from_words(["000", "011", "101", "110"])
     assert min_distance(parity) == 2
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.sets(st.integers(min_value=0, max_value=(1 << n) - 1),
+                      min_size=2, max_size=20).map(
+        lambda ints: [format(x, f"0{n}b") for x in ints])))
+def test_min_distance_is_the_least_pairwise_hamming_distance(words):
+    book = CodeBook.from_words(words)
+    assert min_distance(book) == min(hamming_distance(x, y)
+                                     for x, y in combinations(words, 2))
 
 
 # -- capabilities ------------------------------------------------------------------

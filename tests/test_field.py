@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gf2m
 from conftest import fields_up_to
 from gf2m import GF2m, FieldElement, Gf2Poly, PowerForm, is_primitive
 from gf2m.errors import (
@@ -63,6 +68,17 @@ def test_primitive_polynomial_builds_without_trial_division(monkeypatch):
     monkeypatch.setattr("gf2m.polynomial.is_irreducible", trial_division)
     assert GF2m(16).order == 1 << 16
     assert GF2m(4, Gf2Poly.parse("x^4+x^3+1")).alpha(4).bits == 0b1001
+
+
+def test_numpy_loads_on_the_first_field_build_not_on_import():
+    code = ("import sys, gf2m, gf2m.cli\n"
+            "assert 'numpy' not in sys.modules, 'imported by gf2m'\n"
+            "gf2m.GF2m(3)\n"
+            "assert 'numpy' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(gf2m.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_alternate_primitive_polynomial_accepted():

@@ -5,10 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gf2m import Gf2Poly, LfsrConfig, divide, from_polynomial, period, primitive_poly
 from gf2m.errors import BadConnectionPolynomial, Gf2mError, WidthMismatch
-from gf2m.lfsr import state_sequence, step, step_external
+from gf2m.lfsr import state_sequence, step
 
 # Register trace of (x^7+x^6+x^3+x^2+x) / (x^5+x^3+x^2+1), X0..X4 per clock.
 DIVISION_TRACE = ["10000", "11000", "01100", "00110", "10011",
@@ -35,12 +36,40 @@ def test_from_polynomial_rejects_bad_feedback_kind():
         from_polynomial(Gf2Poly.parse("1011"), "sideways")
 
 
+@pytest.mark.parametrize("g, feedback", [
+    (Gf2Poly(0b1010), "internal"),  # g0 = 0
+    (Gf2Poly(0b1), "external"),  # degree 0
+    (Gf2Poly(0b1011), "sideways"),
+])
+def test_direct_construction_checks_what_from_polynomial_checks(g, feedback):
+    with pytest.raises(BadConnectionPolynomial):
+        LfsrConfig(g, feedback)
+
+
 # -- stepping ------------------------------------------------------------------------
 
 def test_step_rejects_wrong_width():
     cfg = from_polynomial(Gf2Poly.parse("1011"))
     with pytest.raises(WidthMismatch):
         step(cfg, (0, 0), 1)
+
+
+@pytest.mark.parametrize("feedback", ["internal", "external"])
+@pytest.mark.parametrize("state", [(2, 0, 0), (0, -1, 0), (1, 0, 0.5)])
+def test_stages_must_be_bits(feedback, state):
+    cfg = from_polynomial(Gf2Poly.parse("1011"), feedback)
+    with pytest.raises(Gf2mError):
+        step(cfg, state, 0)
+    with pytest.raises(Gf2mError):
+        period(cfg, state)
+    with pytest.raises(Gf2mError):
+        state_sequence(cfg, state, 3)
+
+
+def test_step_masks_the_input_bit():
+    cfg = from_polynomial(Gf2Poly.parse("1011"))
+    assert step(cfg, (0, 0, 1), 3) == step(cfg, (0, 0, 1), 1)
+    assert step(cfg, (0, 0, 1), 2) == step(cfg, (0, 0, 1), 0)
 
 
 def test_internal_step_spreads_feedback_into_taps():
@@ -54,8 +83,31 @@ def test_internal_step_spreads_feedback_into_taps():
 def test_external_step_collects_taps_into_stage_zero():
     cfg = from_polynomial(Gf2Poly.parse("1011"), "external")
     # feedback = X2 ^ X0 (taps 0 and 1 read stages 2 and 0 shifted)
-    assert step_external(cfg, (1, 0, 0), 0) == (1, 1, 0)
-    assert step_external(cfg, (0, 0, 1), 0) == (1, 0, 0)
+    assert step(cfg, (1, 0, 0), 0) == (1, 1, 0)
+    assert step(cfg, (0, 0, 1), 0) == (1, 0, 0)
+
+
+def test_step_follows_the_configured_feedback():
+    # one state, one polynomial: the divider and the Fibonacci clock differ
+    g = Gf2Poly.parse("1011")
+    assert step(from_polynomial(g, "internal"), (1, 0, 0), 0) == (0, 1, 0)
+    assert step(from_polynomial(g, "external"), (1, 0, 0), 0) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("g", ["1011", "11001", "101101", "11111",
+                               "100011011"])
+def test_external_step_is_the_fibonacci_recurrence(g):
+    # stage 0 gets input xor the sum of g_i * regs[i-1] over i = 1..d
+    cfg = from_polynomial(Gf2Poly.parse(g), "external")
+    d, bits = cfg.degree, cfg.g.bits
+    rng = random.Random(g)
+    for _ in range(50):
+        state = tuple(rng.randrange(2) for _ in range(d))
+        u = rng.randrange(2)
+        fb = u
+        for i in range(1, d + 1):
+            fb ^= (bits >> i & 1) & state[i - 1]
+        assert step(cfg, state, u) == (fb,) + state[:-1]
 
 
 def test_state_sequence_length_and_start():
@@ -63,7 +115,8 @@ def test_state_sequence_length_and_start():
     seed = (1, 0, 0)
     seq = state_sequence(cfg, seed, 5)
     assert len(seq) == 5
-    assert seq[0] == step_external(cfg, seed, 0)
+    assert seq[0] == step(cfg, seed, 0)
+    assert all(nxt == step(cfg, cur, 0) for cur, nxt in zip(seq, seq[1:]))
 
 
 # -- division ---------------------------------------------------------------------------
@@ -107,6 +160,16 @@ def test_divide_agrees_with_polynomial_divmod():
         checked += 1
 
 
+@given(st.integers(min_value=0, max_value=(1 << 64) - 1),
+       st.integers(min_value=1, max_value=(1 << 16) - 1))
+def test_divide_gives_remainder_and_quotient_stream(p_bits, g_high):
+    p, g = Gf2Poly(p_bits), Gf2Poly(g_high << 1 | 1)  # g0 = 1, degree >= 1
+    remainder, trace = divide(p, g)
+    assert remainder == p % g
+    stream = "".join(str(r.feedback) for r in trace)
+    assert int(stream, 2) == (p // g).bits
+
+
 def test_divide_zero_polynomial():
     remainder, trace = divide(Gf2Poly(0), Gf2Poly.parse("1011"))
     assert remainder.is_zero
@@ -134,6 +197,12 @@ def test_external_lfsr_over_primitive_polynomial_has_full_period(m):
 def test_internal_lfsr_periods_match():
     cfg = from_polynomial(Gf2Poly.parse("1011"))
     assert period(cfg, (1, 0, 0)) == 7
+
+
+def test_period_of_an_unchecked_config_is_refused():
+    # g0 = 0 used to be read as g0 = 1, giving period 7
+    with pytest.raises(BadConnectionPolynomial):
+        period(LfsrConfig(Gf2Poly(0b1010), "internal"), (1, 0, 0))
 
 
 def test_non_primitive_polynomial_has_short_period():
