@@ -15,7 +15,7 @@ from typing import Sequence
 from . import bitmatrix
 from .errors import DependentBasis, Gf2mError
 from .field import GF2m, FieldElement
-from .polynomial import Gf2Poly
+from .polynomial import Gf2Poly, _x_multiples
 
 __all__ = [
     "ConjugacyClass",
@@ -137,7 +137,7 @@ def _trace_matrix(field: GF2m) -> tuple[int, ...]:
     """Row k has bit i = Tr(alpha^(i+k)): it maps b to (Tr(b * alpha^k))_k,
     b's coordinates over the dual of the standard basis."""
     m = field.m
-    tr = [_trace(field, field.antilog_table.item(e)) for e in range(2 * m - 1)]
+    tr = [_trace(field, b) for b in _x_multiples(1, 2 * m - 1, m, field._phi)]
     return tuple(sum(tr[i + k] << i for i in range(m)) for k in range(m))
 
 

@@ -275,7 +275,7 @@ def cmd_code_analyze(args: argparse.Namespace) -> str:
     except OSError as exc:
         raise Gf2mError(f"cannot read {args.words}: {exc}") from None
     words = [ln for ln in lines if ln and not ln.startswith("#")]
-    book = code_metrics.CodeBook.from_words(words, k=args.k)
+    book = code_metrics.CodeBook.from_words(words)
     report = code_metrics.analyze(book)
     items = [(key, str(value)) for key, value in report.items()
              if value is not None]
@@ -392,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="distance/rate report for a word list")
     an.add_argument("--words", required=True,
                     help="file with one binary codeword per line")
-    an.add_argument("--k", type=int, help="message length override")
     an.set_defaults(handler=cmd_code_analyze)
 
     rp = sub.add_parser("report", help="gate-count reports")

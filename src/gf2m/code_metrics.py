@@ -33,11 +33,10 @@ def hamming_distance(x: str, y: str) -> int:
 
 @dataclass(frozen=True)
 class CodeBook:
-    """A set of distinct n-bit codewords, optionally an (n, k) system."""
+    """A set of distinct n-bit codewords; an (n, k) code when it holds 2^k."""
 
     n: int
     words: frozenset[str]
-    k: int | None = None
 
     def __post_init__(self) -> None:
         for w in self.words:
@@ -48,12 +47,16 @@ class CodeBook:
         if lengths != {self.n}:
             raise LengthMismatch(f"mixed word lengths {sorted(lengths | {self.n})}")
 
+    @property
+    def k(self) -> int | None:
+        """log2 of the word count when that is an integer, else None."""
+        size = len(self.words)
+        return size.bit_length() - 1 if size.bit_count() == 1 else None
+
     @staticmethod
-    def from_words(words: Iterable[str], k: int | None = None) -> "CodeBook":
+    def from_words(words: Iterable[str]) -> "CodeBook":
         ws = frozenset(words)
-        if k is None and len(ws).bit_count() == 1:
-            k = len(ws).bit_length() - 1  # |words| = 2^k
-        return CodeBook(len(next(iter(ws), "")), ws, k)
+        return CodeBook(len(next(iter(ws), "")), ws)
 
 
 def min_distance(book: CodeBook) -> int:

@@ -6,24 +6,25 @@ of alpha^i, where alpha is the primitive element, i.e. a root of phi.  The
 printed vector form follows the usual table convention with the coefficient
 of alpha^(m-1) leftmost, so alpha in GF(2^4) prints as "0010".
 
-Construction fills the antilog table alpha^0, alpha^1, ... alpha^(2^m-2)
-by doubling blocks.  The first 256 powers come from repeated
-multiply-by-alpha with reduction mod phi; after that each block
-alpha^k .. alpha^(2k-1) is the block before it times the constant alpha^k,
-applied with numpy through one 256-entry lookup table per byte of the
-element.  The log table, the inverse permutation, is scattered in as the
-blocks are written.  Those tables are the canonical multiplication and
-inversion oracle; mul_poly recomputes the same product from the carry-less
-polynomial definition, inversion_trace replays the square-and-multiply
-register chain, and the circuit-level paths live in the mastrovito module.
-
-Memory for the tables grows as 2^m, 8 bytes per element: degrees are
+Construction fills the antilog table alpha^0 .. alpha^(2^m-2) by doubling
+blocks: the first 256 powers are polynomial._x_multiples of 1 mod phi, and
+each block alpha^k .. alpha^(2k-1) after them is the block before times
+alpha^k, applied with numpy through one 256-entry lookup table per byte of
+the element; the log table, the inverse permutation, is scattered in as the
+blocks are written.  Memory grows as 2^m, 8 bytes per element: degrees are
 capped at MAX_DEGREE = 24, the registry's range, where the tables take
 128 MiB and build in a few tenths of a second.
 
 Inside the library an element is its int bits.  The public methods check
 their FieldElement operands once, compute on ints (every table product
 goes through one kernel, GF2m._exp) and wrap only the value they return.
+
+The tables are the multiplication and inversion oracle, read by alpha,
+mul_power, square, pow, inverse, divide, inversion_trace, the power form
+and the formatters here, by constant_mul_matrix (alpha^i, once) and
+constant_xor_counts, and by the structure algebra.  element, add, mul_poly
+and vector_str here, and the Z and squaring matrices, the serial multiplier
+and every netlist emitter in mastrovito need only m and phi.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import (
 from .polynomial import (
     Gf2Poly,
     _mulmod,
+    _x_multiples,
     _xtime,
     is_irreducible,
     is_primitive,
@@ -115,10 +117,7 @@ class GF2m:
         log = np.empty(self.order, dtype=np.int32)
         log[0] = -1
         k = min(n, _SEED_POWERS)
-        powers = [1]
-        for _ in range(k - 1):
-            powers.append(_xtime(powers[-1], m, phi))
-        antilog[:k] = powers
+        antilog[:k] = _x_multiples(1, k, m, phi)
         log[antilog[:k]] = np.arange(k, dtype=np.int32)
         planes = antilog.view(np.uint8).reshape(n, 4)  # byte j of every entry
         while k < n:

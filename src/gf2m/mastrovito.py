@@ -30,7 +30,7 @@ from .errors import (
 )
 from .field import GF2m, FieldElement
 from .netlist import NetlistBuilder, XorNetlist
-from .polynomial import Gf2Poly, _xtime
+from .polynomial import Gf2Poly, _x_multiples
 
 __all__ = [
     "MastrovitoMatrix",
@@ -81,12 +81,9 @@ class MastrovitoMatrix:
 
 def build_z_matrix(a: FieldElement) -> MastrovitoMatrix:
     """Z(a) with column j = vector of x^j * a(x) mod phi(x)."""
-    field = a.field
-    m, phi = field.m, field.prime_poly.bits
-    cols = [a.bits]
-    for _ in range(m - 1):
-        cols.append(_xtime(cols[-1], m, phi))
-    return MastrovitoMatrix(field, transpose(cols, m), "general", a.bits)
+    m, phi = a.field.m, a.field.prime_poly.bits
+    cols = _x_multiples(a.bits, m, m, phi)
+    return MastrovitoMatrix(a.field, transpose(cols, m), "general", a.bits)
 
 
 def symbolic_z_matrix(field: GF2m) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -95,16 +92,12 @@ def symbolic_z_matrix(field: GF2m) -> tuple[tuple[tuple[int, ...], ...], ...]:
     entry[i][j] lists the k with z_ij = sum over k of a_k: exactly those k
     where x^(j+k) mod phi has coefficient 1 at x^i.
     """
-    m, phi = field.m, field.prime_poly.bits
-    power = 1
-    contrib: list[int] = []  # contrib[e] = bits of x^e mod phi
-    for _ in range(2 * m - 1):
-        contrib.append(power)
-        power = _xtime(power, m, phi)
+    m = field.m
+    contrib = _x_multiples(1, 2 * m - 1, m, field.prime_poly.bits)
     entries = [[[] for _ in range(m)] for _ in range(m)]
     for j in range(m):
         for k in range(m):
-            bits = contrib[j + k]
+            bits = contrib[j + k]  # x^(j+k) mod phi
             for i in range(m):
                 if (bits >> i) & 1:
                     entries[i][j].append(k)
@@ -121,18 +114,19 @@ def mat_vec_mul(z: MastrovitoMatrix, b: FieldElement) -> FieldElement:
 
 def constant_mul_matrix(field: GF2m, i: int) -> MastrovitoMatrix:
     """Matrix of the map b -> alpha^i * b; column j = vector of alpha^(i+j)."""
-    n = field.order - 1
+    m, n = field.m, field.order - 1
     if not 0 <= i <= n - 1:
         raise Gf2mError(f"constant power {i} outside 0..{n - 1}")
-    cols = [int(field.antilog_table[(i + j) % n]) for j in range(field.m)]
-    return MastrovitoMatrix(field, transpose(cols, field.m), "constant", i)
+    cols = _x_multiples(field._exp(0b10, i), m, m, field.prime_poly.bits)
+    return MastrovitoMatrix(field, transpose(cols, m), "constant", i)
 
 
 def squaring_matrix(field: GF2m) -> MastrovitoMatrix:
-    """Matrix of the squaring map; column j = vector of alpha^(2j)."""
-    n = field.order - 1
-    cols = [int(field.antilog_table[(2 * j) % n]) for j in range(field.m)]
-    return MastrovitoMatrix(field, transpose(cols, field.m), "squaring")
+    """Matrix of the squaring map; column j = vector of alpha^(2j), which
+    is x^(2j) mod phi, so m and phi alone define it."""
+    m = field.m
+    cols = _x_multiples(1, 2 * m - 1, m, field.prime_poly.bits)[::2]
+    return MastrovitoMatrix(field, transpose(cols, m), "squaring")
 
 
 def constant_equations(field: GF2m, i: int) -> list[str]:
@@ -197,19 +191,18 @@ class SerialStepSpec:
 
 
 def emit_netlist(source: MastrovitoMatrix | SerialStepSpec) -> XorNetlist:
-    """Emit a gate netlist for a matrix or a serial multiplier step.
+    """Emit a gate netlist for a constant or squaring matrix, or a serial
+    multiplier step.
 
     Constant and squaring matrices become pure XOR fan-in trees over the
-    a inputs.  A general-kind matrix stands for the two-operand multiplier
-    of its field (the concrete element it was built from does not narrow
-    the circuit), emitted as the f-network feeding an AND/XOR inner-product
-    network.  A SerialStepSpec becomes one step of the serial recurrence,
+    a inputs.  A SerialStepSpec becomes one step of the serial recurrence,
     with every XOR expanded through four NANDs in nand mode.
     """
     if isinstance(source, SerialStepSpec):
         return _serial_step_netlist(source.field, source.mode)
     if source.kind == "general":
-        return general_multiplier_netlist(source.field)
+        raise Gf2mError("emit_netlist takes a constant or squaring matrix; the "
+                        "multiplier is general_multiplier_netlist(field)")
     return _linear_netlist(source)
 
 

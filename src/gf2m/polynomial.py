@@ -195,6 +195,14 @@ def _xtime(bits: int, m: int, phi: int) -> int:
     return bits
 
 
+def _x_multiples(bits: int, count: int, m: int, phi: int) -> list[int]:
+    """bits * x^k mod phi for k = 0..count-1, for bits of degree below m."""
+    out = [bits]
+    for _ in range(count - 1):
+        out.append(_xtime(out[-1], m, phi))
+    return out
+
+
 def _spread(bits: int, step: int) -> int:
     out = 0
     i = 0

@@ -220,6 +220,13 @@ def test_code_analyze_skips_comments_and_blanks(cli, tmp_path):
     assert "d_min = 3" in out
 
 
+def test_code_analyze_takes_k_from_the_words(cli):
+    parity = str(DATA_DIR / "even_parity_code.txt")
+    out = cli("code", "analyze", "--words", parity).stdout
+    assert "k = 2" in out and "rate = 2/3" in out
+    cli("code", "analyze", "--words", parity, "--k", "1", expect=2)
+
+
 # -- exit codes ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("args", [

@@ -49,9 +49,11 @@ def test_codebook_leaves_k_unset_otherwise():
     assert book.k is None
 
 
-def test_codebook_explicit_k_wins():
-    book = CodeBook.from_words(["000", "111"], k=1)
-    assert book.k == 1
+def test_codebook_k_follows_the_words():
+    words = frozenset({"000", "011", "101", "110"})
+    assert CodeBook(3, words).k == 2  # direct construction derives it too
+    with pytest.raises(TypeError):
+        CodeBook.from_words(words, k=1)  # no override can contradict them
 
 
 def test_codebook_validation():

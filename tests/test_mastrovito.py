@@ -9,6 +9,7 @@ import pytest
 from conftest import fields_up_to
 from gf2m import (
     GF2m,
+    Gf2Poly,
     SerialStepSpec,
     build_z_matrix,
     complexity_report,
@@ -191,10 +192,9 @@ def test_general_multiplier_netlist_m4(field4):
             assert got == (a * b).bits
 
 
-def test_general_kind_matrix_emits_the_field_multiplier(field4):
-    via_matrix = emit_netlist(build_z_matrix(field4.alpha(9)))
-    direct = general_multiplier_netlist(field4)
-    assert via_matrix == direct
+def test_general_kind_matrix_is_rejected_by_emit_netlist(field4):
+    with pytest.raises(Gf2mError, match=r"general_multiplier_netlist\(field\)"):
+        emit_netlist(build_z_matrix(field4.alpha(9)))
 
 
 # -- serial interleaved multiplier --------------------------------------------------------
@@ -256,6 +256,30 @@ def test_serial_step_netlists_match_the_recurrence(field4):
 def test_serial_step_spec_mode_validation(field4):
     with pytest.raises(Gf2mError):
         emit_netlist(SerialStepSpec(field4, "nor"))
+
+
+# -- operations that need only phi -----------------------------------------------------
+
+def test_operations_that_need_only_phi_run_without_tables():
+    phi = Gf2Poly.parse("x^6+x^5+1")
+    bare, twin = GF2m(6, phi), GF2m(6, phi)
+    bare.antilog_table = bare.log_table = None
+
+    def run(field):
+        a, b = field.element("x^5+x^2+1"), field.element(0b011011)
+        sq = squaring_matrix(field)
+        return [
+            a, field.add(a, b), field.mul_poly(a, b), field.vector_str(a),
+            mat_vec_mul(build_z_matrix(a), b),
+            serial_interleaved_multiply(a, b, "xor"),
+            serial_interleaved_multiply(a, b, "nand"),
+            sq, emit_netlist(sq), symbolic_z_matrix(field),
+            general_multiplier_netlist(field),
+            emit_netlist(SerialStepSpec(field, "xor")),
+            emit_netlist(SerialStepSpec(field, "nand")),
+        ]
+
+    assert run(bare) == run(twin)
 
 
 # -- complexity report ---------------------------------------------------------------------
