@@ -222,7 +222,7 @@ def cmd_constmul(args: argparse.Namespace) -> str:
 
 def cmd_mastrovito(args: argparse.Namespace) -> str:
     field = _make_field(args.m)
-    a = field.element(args.a)
+    a = None if args.a is None else field.element(args.a)
     if args.emit == "netlist":
         return _render_netlist(args.format,
                                mastrovito.general_multiplier_netlist(field))
@@ -235,6 +235,8 @@ def cmd_mastrovito(args: argparse.Namespace) -> str:
             [[f"z{i}"] + [" + ".join(f"a{k}" for k in ks) or "0"
                           for ks in row]
              for i, row in enumerate(sym)])
+    if a is None:
+        raise Gf2mError("--emit matrix needs the fixed operand --a")
     z = mastrovito.build_z_matrix(a)
     bits = [format(row, f"0{field.m}b")[::-1] for row in z.rows]
     equations = mastrovito._row_equations(z, "b")
@@ -370,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     ma = sub.add_parser("mastrovito", parents=[fmt],
                         help="product matrix or general multiplier netlist")
     ma.add_argument("--m", type=int, required=True)
-    ma.add_argument("--a", required=True,
-                    help="fixed operand (binary, 0x hex, or x^ terms)")
+    ma.add_argument("--a", help="fixed operand (binary, 0x hex, or x^ terms);"
+                    " needed by --emit matrix")
     ma.add_argument("--emit", choices=["matrix", "netlist", "symbolic"],
                     default="matrix")
     ma.set_defaults(handler=cmd_mastrovito)

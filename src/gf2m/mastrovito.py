@@ -2,12 +2,12 @@
 artifacts, plus the bit-serial interleaved multiplier and its NAND rewrite.
 
 The product c = a*b is the matrix-vector product c = Z(a) . b where column
-j of Z is the coefficient vector of x^j * a(x) mod phi(x).  Fixing a = a
-power alpha^i collapses Z to a constant binary matrix (column j is the
-vector of alpha^(i+j)), whose circuit is pure XOR.  The squaring map is the
-constant matrix with column j = vector of alpha^(2j).
+j of Z is the coefficient vector of x^j * a(x) mod phi(x).  Fixing a makes
+Z(a) a constant map (for a = alpha^i, column j is the vector of alpha^(i+j))
+and squaring is one more (column j = vector of alpha^(2j)); emit_netlist
+turns any such MastrovitoMatrix, a field, rows and a label, into XOR trees.
 
-Row i of a constant matrix reads directly as an output equation, e.g.
+Row i of a matrix reads directly as an output equation, e.g.
 "z0 = a0 + a1 + a2"; xor_count totals the "+" operators,
 constant_xor_counts gives that total for every alpha^i from the antilog
 table alone, and xor_count_estimate gives the m^2/2 - m rule-of-thumb
@@ -55,17 +55,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MastrovitoMatrix:
-    """m x m binary matrix; rows[i] holds bit j = z_ij.
+    """m x m binary matrix of a GF(2)-linear map; rows[i] holds bit j = z_ij.
 
-    kind records provenance: "general" (from a concrete element, source =
-    its bits), "constant" (source = the exponent i of alpha^i), or
-    "squaring" (source unused).
+    label names the map and titles its netlist.  Construction raises
+    DimensionMismatch unless there are m rows of at most m bits each.
     """
 
     field: GF2m
     rows: tuple[int, ...]
-    kind: str
-    source: int = 0
+    label: str
+
+    def __post_init__(self) -> None:
+        m, rows = self.field.m, self.rows
+        if len(rows) != m or min(rows) < 0 or max(rows) >> m:
+            raise DimensionMismatch(
+                f"a matrix over GF(2^{m}) needs {m} rows of at most {m} bits")
 
     @property
     def m(self) -> int:
@@ -80,10 +84,11 @@ class MastrovitoMatrix:
 
 
 def build_z_matrix(a: FieldElement) -> MastrovitoMatrix:
-    """Z(a) with column j = vector of x^j * a(x) mod phi(x)."""
+    """Z(a), the matrix of b -> a*b: column j is x^j * a(x) mod phi(x)."""
     m, phi = a.field.m, a.field.prime_poly.bits
     cols = _x_multiples(a.bits, m, m, phi)
-    return MastrovitoMatrix(a.field, transpose(cols, m), "general", a.bits)
+    return MastrovitoMatrix(a.field, transpose(cols, m),
+                            f"multiplier by {a.bits:0{m}b}")
 
 
 def symbolic_z_matrix(field: GF2m) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -118,7 +123,8 @@ def constant_mul_matrix(field: GF2m, i: int) -> MastrovitoMatrix:
     if not 0 <= i <= n - 1:
         raise Gf2mError(f"constant power {i} outside 0..{n - 1}")
     cols = _x_multiples(field._exp(0b10, i), m, m, field.prime_poly.bits)
-    return MastrovitoMatrix(field, transpose(cols, m), "constant", i)
+    return MastrovitoMatrix(field, transpose(cols, m),
+                            f"constant multiplier alpha^{i}")
 
 
 def squaring_matrix(field: GF2m) -> MastrovitoMatrix:
@@ -126,7 +132,7 @@ def squaring_matrix(field: GF2m) -> MastrovitoMatrix:
     is x^(2j) mod phi, so m and phi alone define it."""
     m = field.m
     cols = _x_multiples(1, 2 * m - 1, m, field.prime_poly.bits)[::2]
-    return MastrovitoMatrix(field, transpose(cols, m), "squaring")
+    return MastrovitoMatrix(field, transpose(cols, m), "squaring map")
 
 
 def constant_equations(field: GF2m, i: int) -> list[str]:
@@ -191,29 +197,20 @@ class SerialStepSpec:
 
 
 def emit_netlist(source: MastrovitoMatrix | SerialStepSpec) -> XorNetlist:
-    """Emit a gate netlist for a constant or squaring matrix, or a serial
-    multiplier step.
+    """Emit a gate netlist for a matrix or a serial multiplier step.
 
-    Constant and squaring matrices become pure XOR fan-in trees over the
-    a inputs.  A SerialStepSpec becomes one step of the serial recurrence,
-    with every XOR expanded through four NANDs in nand mode.
+    A matrix becomes pure XOR fan-in trees, output z_i over the inputs a_j
+    of row i, titled "<label> over GF(2^m)"; an all-zero row is the
+    constant 0.  A SerialStepSpec becomes one step of the serial
+    recurrence, with every XOR expanded through four NANDs in nand mode.
     """
     if isinstance(source, SerialStepSpec):
         return _serial_step_netlist(source.field, source.mode)
-    if source.kind == "general":
-        raise Gf2mError("emit_netlist takes a constant or squaring matrix; the "
-                        "multiplier is general_multiplier_netlist(field)")
-    return _linear_netlist(source)
-
-
-def _linear_netlist(z: MastrovitoMatrix) -> XorNetlist:
-    m = z.m
-    what = (f"constant multiplier alpha^{z.source}" if z.kind == "constant"
-            else "squaring map")
-    nb = NetlistBuilder(f"{what} over GF(2^{m})")
+    m = source.m
+    nb = NetlistBuilder(f"{source.label} over GF(2^{m})")
     names = [nb.add_input(f"a_{j}") for j in range(m)]
     for i in range(m):
-        terms = z.row_terms(i)
+        terms = source.row_terms(i)
         nb.output(f"z_{i}", nb.xor_tree([names[j] for j in terms]))
     return nb.build()
 
@@ -246,11 +243,10 @@ def _serial_step_netlist(field: GF2m, mode: str) -> XorNetlist:
     b = nb.add_input("b")
     f = p[m - 1]  # bit shifted out, folded back through phi
     for i in range(m):
-        shifted = p[i - 1] if i else None
-        if (phi >> i) & 1:
-            reduced = f if shifted is None else nb.xor2(shifted, f, mode)
-        else:
-            reduced = nb.const(0) if shifted is None else shifted
+        # phi is primitive, so its x^0 term is 1 and p_0 takes f alone
+        reduced = p[i - 1] if i else f
+        if i and (phi >> i) & 1:
+            reduced = nb.xor2(reduced, f, mode)
         cond = nb.gate("AND", b, a[i])
         nb.output(f"p_{i}", nb.xor2(reduced, cond, mode))
     return nb.build()

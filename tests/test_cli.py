@@ -206,6 +206,17 @@ def test_mastrovito_netlist_and_symbolic(cli):
     assert "a0 + a3" in sym
 
 
+def test_mastrovito_needs_a_only_for_the_matrix(capsys):
+    assert main(["mastrovito", "--m", "4", "--emit", "netlist"]) == 0
+    assert capsys.readouterr() == (golden("mastrovito_netlist_m4.txt"), "")
+    assert main(["mastrovito", "--m", "4", "--emit", "matrix"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "--a" in err
+    # a given --a is still parsed, so a bad one fails before the netlist
+    assert main(["mastrovito", "--m", "4", "--a", "10011",
+                 "--emit", "netlist"]) == 2
+
+
 def test_report_gates_with_k_prints_both_sections(cli):
     out = cli("report", "gates", "--m", "5", "--k", "2").stdout
     assert "SPB multiplier based on NAND" in out

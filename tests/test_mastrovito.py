@@ -10,6 +10,7 @@ from conftest import fields_up_to
 from gf2m import (
     GF2m,
     Gf2Poly,
+    MastrovitoMatrix,
     SerialStepSpec,
     build_z_matrix,
     complexity_report,
@@ -36,7 +37,8 @@ GF16_XOR_COUNTS = [0, 1, 2, 3, 5, 5, 5, 6, 6, 8, 9, 8, 6, 3, 1]
 def test_matrix_product_agrees_with_field_multiply(field4):
     for a in field4.elements():
         z = build_z_matrix(a)
-        assert z.kind == "general" and z.source == a.bits
+        assert z.label == f"multiplier by {a.vector_str()}"
+        assert sum(z.entry(i, 0) << i for i in range(4)) == a.bits  # column 0
         for b in field4.elements():
             assert mat_vec_mul(z, b) == a * b
 
@@ -69,7 +71,7 @@ def test_mat_vec_dimension_checks(field3, field4):
 
 def test_squaring_matrix(field4):
     sq = squaring_matrix(field4)
-    assert sq.kind == "squaring"
+    assert sq.label == "squaring map"
     for a in field4.elements():
         assert mat_vec_mul(sq, a) == a.square()
 
@@ -109,9 +111,25 @@ def test_identity_constant(field4):
 def test_constant_matrices_multiply_correctly(field4):
     for i in range(15):
         z = constant_mul_matrix(field4, i)
-        assert z.kind == "constant" and z.source == i
+        assert z.label == f"constant multiplier alpha^{i}"
         for b in field4.elements():
             assert mat_vec_mul(z, b) == field4.alpha(i) * b
+
+
+def test_constant_matrix_rows_equal_the_z_matrix_of_alpha_i():
+    for field in fields_up_to(8):
+        for i in range(field.order - 1):
+            assert (constant_mul_matrix(field, i).rows
+                    == build_z_matrix(field.alpha(i)).rows), (field, i)
+
+
+def test_matrix_shape_is_checked_at_construction(field4):
+    with pytest.raises(DimensionMismatch):
+        MastrovitoMatrix(field4, (1, 2), "two rows")
+    with pytest.raises(DimensionMismatch):
+        MastrovitoMatrix(field4, (1, 2, 4, 8 | 16), "row with bit m set")
+    with pytest.raises(DimensionMismatch):
+        MastrovitoMatrix(field4, (1, 2, 4, -8), "negative row")
 
 
 def test_constant_power_range(field4):
@@ -192,9 +210,19 @@ def test_general_multiplier_netlist_m4(field4):
             assert got == (a * b).bits
 
 
-def test_general_kind_matrix_is_rejected_by_emit_netlist(field4):
-    with pytest.raises(Gf2mError, match=r"general_multiplier_netlist\(field\)"):
-        emit_netlist(build_z_matrix(field4.alpha(9)))
+def test_z_matrix_netlist_multiplies_by_a():
+    for field in fields_up_to(6):
+        m = field.m
+        for a in field.elements():
+            nl = emit_netlist(build_z_matrix(a))
+            assert nl.label == f"multiplier by {a.vector_str()} over GF(2^{m})"
+            for b in field.elements():
+                out = nl.simulate({f"a_{j}": (b.bits >> j) & 1
+                                   for j in range(m)})
+                got = sum(out[f"z_{j}"] << j for j in range(m))
+                assert got == (a * b).bits, (field, a, b)
+        zero = emit_netlist(build_z_matrix(field.zero)).serialize()
+        assert zero.count("CONST zero") == 1 and "GATE" not in zero
 
 
 # -- serial interleaved multiplier --------------------------------------------------------
@@ -273,7 +301,8 @@ def test_operations_that_need_only_phi_run_without_tables():
             mat_vec_mul(build_z_matrix(a), b),
             serial_interleaved_multiply(a, b, "xor"),
             serial_interleaved_multiply(a, b, "nand"),
-            sq, emit_netlist(sq), symbolic_z_matrix(field),
+            sq, emit_netlist(sq), emit_netlist(build_z_matrix(a)),
+            symbolic_z_matrix(field),
             general_multiplier_netlist(field),
             emit_netlist(SerialStepSpec(field, "xor")),
             emit_netlist(SerialStepSpec(field, "nand")),
