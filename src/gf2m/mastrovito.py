@@ -4,8 +4,8 @@ artifacts, plus the bit-serial interleaved multiplier and its NAND rewrite.
 The product c = a*b is the matrix-vector product c = Z(a) . b where column
 j of Z is the coefficient vector of x^j * a(x) mod phi(x).  Fixing a makes
 Z(a) a constant map (for a = alpha^i, column j is the vector of alpha^(i+j))
-and squaring is one more (column j = vector of alpha^(2j)); emit_netlist
-turns any such MastrovitoMatrix, a field, rows and a label, into XOR trees.
+and squaring is one more (column j = vector of alpha^(2j)).  Each is a
+MastrovitoMatrix (field, rows, label), and emit_netlist emits any as XORs.
 
 Row i of a matrix reads directly as an output equation, e.g.
 "z0 = a0 + a1 + a2"; xor_count totals the "+" operators,
