@@ -95,19 +95,9 @@ def roots_in_field(f: Gf2Poly, field: GF2m) -> set[FieldElement]:
 
 
 def trace(b: FieldElement) -> int:
-    """Tr(b) = b + b^2 + b^4 + ... + b^(2^(m-1)), always 0 or 1."""
-    return _trace(b.field, b.bits)
-
-
-def _trace(field: GF2m, bits: int) -> int:
-    # the m conjugates run through the squaring orbit m / len(orbit) times
-    orbit = _orbit(field, bits)
-    acc = 0
-    for i in range(field.m):
-        acc ^= orbit[i % len(orbit)]
-    if acc > 1:
-        raise AssertionError(f"trace landed outside GF(2): {acc:b}")
-    return acc
+    """Tr(b) = b + b^2 + b^4 + ... + b^(2^(m-1)), always 0 or 1: a linear
+    form, the parity of b's bits under row 0 of _trace_matrix."""
+    return (b.bits & _trace_matrix(b.field)[0]).bit_count() & 1
 
 
 # -- coordinate systems -------------------------------------------------------
@@ -135,9 +125,16 @@ def _coords_matrix(field: GF2m, basis: tuple[int, ...]) -> tuple[int, ...] | Non
 @_per_field
 def _trace_matrix(field: GF2m) -> tuple[int, ...]:
     """Row k has bit i = Tr(alpha^(i+k)): it maps b to (Tr(b * alpha^k))_k,
-    b's coordinates over the dual of the standard basis."""
+    b's coordinates over the dual of the standard basis.
+
+    Tr(a) is the trace of the matrix of b -> a * b, whose column j is
+    x^j * a mod phi, so Tr(x^t) is the parity of bit j of x^(t+j) mod phi
+    over j < m: m and phi alone fix it.
+    """
     m = field.m
-    tr = [_trace(field, b) for b in _x_multiples(1, 2 * m - 1, m, field._phi)]
+    xs = _x_multiples(1, 3 * m - 2, m, field._phi)
+    tr = [sum(xs[t + j] >> j & 1 for j in range(m)) & 1
+          for t in range(2 * m - 1)]
     return tuple(sum(tr[i + k] << i for i in range(m)) for k in range(m))
 
 

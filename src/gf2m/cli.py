@@ -212,7 +212,7 @@ def cmd_constmul(args: argparse.Namespace) -> str:
             "m": field.m, "power": power, "xor_count": count,
             "estimate": estimate,
         }, [("xor_count", str(count)), ("estimate", estimate)])
-    equations = mastrovito.constant_equations(field, power)
+    equations = mastrovito._row_equations(z, "a")
     return _render(args.format, lambda: {
         "m": field.m, "power": power, "equations": equations,
         "xor_count": count, "estimate": estimate,
@@ -274,7 +274,7 @@ def cmd_code_analyze(args: argparse.Namespace) -> str:
     try:
         with open(args.words, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise Gf2mError(f"cannot read {args.words}: {exc}") from None
     words = [ln for ln in lines if ln and not ln.startswith("#")]
     book = code_metrics.CodeBook.from_words(words)

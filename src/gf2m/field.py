@@ -19,12 +19,10 @@ Inside the library an element is its int bits.  The public methods check
 their FieldElement operands once, compute on ints (every table product
 goes through one kernel, GF2m._exp) and wrap only the value they return.
 
-The tables are the multiplication and inversion oracle, read by alpha,
-mul_power, square, pow, inverse, divide, inversion_trace, the power form
-and the formatters here, by constant_mul_matrix (alpha^i, once) and
-constant_xor_counts, and by the structure algebra.  element, add, mul_poly
-and vector_str here, and the Z and squaring matrices, the serial multiplier
-and every netlist emitter in mastrovito need only m and phi.
+The tables serve the power form: alpha^e <-> bits, log/antilog products,
+squaring orbits, walks in alpha-order and constant_xor_counts.  Every
+linear map (the matrices, the netlists, the trace, the dual basis) needs
+only m and phi.
 """
 
 from __future__ import annotations
@@ -327,13 +325,12 @@ def _byte_tables(c: int, m: int, phi: int) -> list:
     b set are those below 2^b XOR c * alpha^(8j+b).
     """
     import numpy as np
+    cols = _x_multiples(c, (m + 7) // 8 * 8, m, phi)  # c * alpha^(8j+b)
     tables = []
-    col = c  # c * alpha^(8j+b)
-    for _ in range((m + 7) // 8):
+    for j in range(0, len(cols), 8):
         table = np.zeros(256, dtype=np.uint32)
-        for b in range(8):
+        for b, col in enumerate(cols[j:j + 8]):
             table[1 << b:2 << b] = table[:1 << b] ^ col
-            col = _xtime(col, m, phi)
         tables.append(table)
     return tables
 

@@ -85,7 +85,7 @@ class MastrovitoMatrix:
 
 def build_z_matrix(a: FieldElement) -> MastrovitoMatrix:
     """Z(a), the matrix of b -> a*b: column j is x^j * a(x) mod phi(x)."""
-    m, phi = a.field.m, a.field.prime_poly.bits
+    m, phi = a.field.m, a.field._phi
     cols = _x_multiples(a.bits, m, m, phi)
     return MastrovitoMatrix(a.field, transpose(cols, m),
                             f"multiplier by {a.bits:0{m}b}")
@@ -98,7 +98,7 @@ def symbolic_z_matrix(field: GF2m) -> tuple[tuple[tuple[int, ...], ...], ...]:
     where x^(j+k) mod phi has coefficient 1 at x^i.
     """
     m = field.m
-    contrib = _x_multiples(1, 2 * m - 1, m, field.prime_poly.bits)
+    contrib = _x_multiples(1, 2 * m - 1, m, field._phi)
     entries = [[[] for _ in range(m)] for _ in range(m)]
     for j in range(m):
         for k in range(m):
@@ -122,7 +122,7 @@ def constant_mul_matrix(field: GF2m, i: int) -> MastrovitoMatrix:
     m, n = field.m, field.order - 1
     if not 0 <= i <= n - 1:
         raise Gf2mError(f"constant power {i} outside 0..{n - 1}")
-    cols = _x_multiples(field._exp(0b10, i), m, m, field.prime_poly.bits)
+    cols = _x_multiples(field._exp(0b10, i), m, m, field._phi)
     return MastrovitoMatrix(field, transpose(cols, m),
                             f"constant multiplier alpha^{i}")
 
@@ -131,7 +131,7 @@ def squaring_matrix(field: GF2m) -> MastrovitoMatrix:
     """Matrix of the squaring map; column j = vector of alpha^(2j), which
     is x^(2j) mod phi, so m and phi alone define it."""
     m = field.m
-    cols = _x_multiples(1, 2 * m - 1, m, field.prime_poly.bits)[::2]
+    cols = _x_multiples(1, 2 * m - 1, m, field._phi)[::2]
     return MastrovitoMatrix(field, transpose(cols, m), "squaring map")
 
 
@@ -236,7 +236,7 @@ def general_multiplier_netlist(field: GF2m) -> XorNetlist:
 
 def _serial_step_netlist(field: GF2m, mode: str) -> XorNetlist:
     # NetlistBuilder.xor2 rejects a mode other than xor and nand
-    m, phi = field.m, field.prime_poly.bits
+    m, phi = field.m, field._phi
     nb = NetlistBuilder(f"serial multiplier step ({mode}) over GF(2^{m})")
     p = [nb.add_input(f"p_{i}") for i in range(m)]
     a = [nb.add_input(f"a_{i}") for i in range(m)]
@@ -289,8 +289,7 @@ def serial_interleaved_multiply(a: FieldElement, b: FieldElement,
     if mode not in ("xor", "nand"):
         raise Gf2mError(f"mode must be xor or nand, got {mode!r}")
     field = a.field
-    bits, raw = _serial_mul_bits(field.m, field.prime_poly.bits,
-                                 a.bits, b.bits, mode)
+    bits, raw = _serial_mul_bits(field.m, field._phi, a.bits, b.bits, mode)
     trace = tuple(FieldElement(field, r) for r in raw)
     return FieldElement(field, bits), trace
 

@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from conftest import fields_up_to
 from gf2m import (
     GF2m,
     Gf2Poly,
@@ -22,6 +23,7 @@ from gf2m import (
     roots_in_field,
     trace,
 )
+from gf2m.algebra import _trace_matrix
 from gf2m.errors import DependentBasis, Gf2mError
 
 # Exponents e with Tr(alpha^e) = 1 in GF(2^4) over x^4 + x + 1.
@@ -138,6 +140,31 @@ def test_trace_is_additive_and_square_invariant(field4):
         assert trace(a.square()) == trace(a)
         for b in field4.elements():
             assert trace(a + b) == (trace(a) + trace(b)) % 2
+
+
+def test_trace_is_the_sum_of_the_conjugates():
+    for field in fields_up_to(10):
+        for b in field.elements():
+            acc = conj = b
+            for _ in range(field.m - 1):
+                conj = field.square(conj)
+                acc = acc + conj
+            assert trace(b) == acc.bits, (field, b)
+
+
+def test_trace_and_dual_basis_run_without_tables():
+    phi = Gf2Poly.parse("x^7+x^6+1")
+    bare, twin = GF2m(7, phi), GF2m(7, phi)
+    bare.antilog_table = bare.log_table = None
+
+    def run(field):
+        std = [field.element(1 << k) for k in range(field.m)]
+        dual = find_dual_basis(std)
+        coords = [dual_basis_coords(b, dual) for b in field.elements()]
+        return [[trace(b) for b in field.elements()], _trace_matrix(field),
+                dual, coords, [from_coords(dual, c) for c in coords]]
+
+    assert run(bare) == run(twin)
 
 
 # -- dual basis --------------------------------------------------------------------
