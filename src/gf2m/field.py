@@ -6,14 +6,15 @@ of alpha^i, where alpha is the primitive element, i.e. a root of phi.  The
 printed vector form follows the usual table convention with the coefficient
 of alpha^(m-1) leftmost, so alpha in GF(2^4) prints as "0010".
 
-Construction fills the antilog table alpha^0 .. alpha^(2^m-2) by doubling
-blocks: the first 256 powers are polynomial._x_multiples of 1 mod phi, and
-each block alpha^k .. alpha^(2k-1) after them is the block before times
-alpha^k, applied with numpy through one 256-entry lookup table per byte of
-the element; the log table, the inverse permutation, is scattered in as the
-blocks are written.  Memory grows as 2^m, 8 bytes per element: degrees are
-capped at MAX_DEGREE = 24, the registry's range, where the tables take
-128 MiB and build in a few tenths of a second.
+The first read of either table fills the antilog table alpha^0 ..
+alpha^(2^m-2) by doubling blocks: the first 256 powers are
+polynomial._x_multiples of 1 mod phi, and each block alpha^k ..
+alpha^(2k-1) after them is the block before times alpha^k, applied with
+numpy through one 256-entry lookup table per byte of the element; the log
+table, the inverse permutation, is scattered in as the blocks are
+written.  Memory grows as 2^m, 8 bytes per element: degrees are capped at
+MAX_DEGREE = 24, the registry's range, where the tables take 128 MiB and
+build in a few tenths of a second.
 
 Inside the library an element is its int bits.  The public methods check
 their FieldElement operands once, compute on ints (every table product
@@ -22,7 +23,8 @@ goes through one kernel, GF2m._exp) and wrap only the value they return.
 The tables serve the power form: alpha^e <-> bits, log/antilog products,
 squaring orbits, walks in alpha-order and constant_xor_counts.  Every
 linear map (the matrices, the netlists, the trace, the dual basis) needs
-only m and phi.
+only m and phi.  A field is m and phi; the tables are built on their
+first read, so a field that only serves linear maps never builds them.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ PowerForm.ZERO = PowerForm(None)
 
 
 class GF2m:
-    """An immutable GF(2^m) instance with log/antilog tables."""
+    """An immutable GF(2^m) instance, defined by m and phi; its log/antilog
+    tables are a cache built on their first read, which loads numpy."""
 
     characteristic = 2
 
@@ -105,10 +108,20 @@ class GF2m:
         self.order = 1 << m
         self._phi = prime_poly.bits
         self._memo: dict = {}  # data derived from the field, freed with it
-        self._build_tables()
+        self._tables = None  # (log, antilog), filled by _build_tables
 
-    def _build_tables(self) -> None:
-        import numpy as np  # loaded by the first field build, not on import
+    @property
+    def log_table(self):
+        """log_table[bits] = e with alpha^e = bits; log_table[0] = -1."""
+        return (self._tables or self._build_tables())[0]
+
+    @property
+    def antilog_table(self):
+        """antilog_table[e] = bits of alpha^e for e = 0..2^m-2."""
+        return (self._tables or self._build_tables())[1]
+
+    def _build_tables(self) -> tuple:
+        import numpy as np  # loaded by the first table read, not on import
         m, phi = self.m, self._phi
         n = self.order - 1
         antilog = np.empty(n, dtype="<u4")  # bytes least significant first
@@ -133,8 +146,8 @@ class GF2m:
             k = end
         antilog.flags.writeable = False
         log.flags.writeable = False
-        self.antilog_table = antilog
-        self.log_table = log
+        self._tables = log, antilog
+        return self._tables
 
     # -- identity ---------------------------------------------------------
 
@@ -199,8 +212,8 @@ class GF2m:
         and 0 when a or b is 0 (callers rule out a = 0 with k <= 0)."""
         if not (a and b):
             return 0
-        log = self.log_table.item
-        return self.antilog_table.item((k * log(a) + log(b)) % (self.order - 1))
+        log, antilog = self._tables or self._build_tables()
+        return antilog.item((k * log.item(a) + log.item(b)) % (self.order - 1))
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .field import GF2m, FieldElement
 from .netlist import NetlistBuilder, XorNetlist
-from .polynomial import Gf2Poly, _x_multiples
+from .polynomial import Gf2Poly, _powmod, _x_multiples
 
 __all__ = [
     "MastrovitoMatrix",
@@ -118,11 +118,12 @@ def mat_vec_mul(z: MastrovitoMatrix, b: FieldElement) -> FieldElement:
 
 
 def constant_mul_matrix(field: GF2m, i: int) -> MastrovitoMatrix:
-    """Matrix of the map b -> alpha^i * b; column j = vector of alpha^(i+j)."""
+    """Matrix of the map b -> alpha^i * b; column j = vector of alpha^(i+j),
+    which is x^(i+j) mod phi, so m and phi alone define it."""
     m, n = field.m, field.order - 1
     if not 0 <= i <= n - 1:
         raise Gf2mError(f"constant power {i} outside 0..{n - 1}")
-    cols = _x_multiples(field._exp(0b10, i), m, m, field._phi)
+    cols = _x_multiples(_powmod(0b10, i, field._phi), m, m, field._phi)
     return MastrovitoMatrix(field, transpose(cols, m),
                             f"constant multiplier alpha^{i}")
 

@@ -40,6 +40,19 @@ def cli():
     return run
 
 
+@pytest.fixture
+def forbid_table_build(monkeypatch):
+    """Call the returned function to make every later table build raise."""
+
+    def forbid() -> None:
+        def build(field):
+            raise AssertionError(f"{field!r} built its tables")
+
+        monkeypatch.setattr(GF2m, "_build_tables", build)
+
+    return forbid
+
+
 def golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
 

@@ -228,6 +228,19 @@ def test_mastrovito_needs_a_only_for_the_matrix(capsys):
                  "--emit", "netlist"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["mastrovito", "--m", "24", "--emit", "netlist", "--format", "json"],
+    ["mastrovito", "--m", "20", "--a", "10110011100011110000",
+     "--emit", "netlist"],
+    ["constmul", "--m", "20", "--power", "12345", "--emit", "netlist"],
+    ["constmul", "--m", "20", "--power", "12345", "--emit", "count"],
+])
+def test_phi_only_commands_build_no_table(capsys, forbid_table_build, args):
+    # In-process, so that the patched build is the one the command runs.
+    forbid_table_build()
+    assert main(args) == 0, capsys.readouterr().err
+
+
 def test_report_gates_with_k_prints_both_sections(cli):
     out = cli("report", "gates", "--m", "5", "--k", "2").stdout
     assert "SPB multiplier based on NAND" in out

@@ -70,10 +70,13 @@ def test_primitive_polynomial_builds_without_trial_division(monkeypatch):
     assert GF2m(4, Gf2Poly.parse("x^4+x^3+1")).alpha(4).bits == 0b1001
 
 
-def test_numpy_loads_on_the_first_field_build_not_on_import():
+def test_numpy_loads_on_the_first_table_read_not_on_import():
     code = ("import sys, gf2m, gf2m.cli\n"
             "assert 'numpy' not in sys.modules, 'imported by gf2m'\n"
-            "gf2m.GF2m(3)\n"
+            "field = gf2m.GF2m(3)\n"
+            "gf2m.general_multiplier_netlist(field)\n"
+            "assert 'numpy' not in sys.modules, 'imported before a table read'\n"
+            "field.alpha(1)\n"
             "assert 'numpy' in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=str(Path(gf2m.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -104,6 +107,7 @@ def _check_tables(field: GF2m) -> None:
     """The tables against their definition: antilog[e] = alpha^e, log its inverse."""
     m, phi, n = field.m, field.prime_poly.bits, field.order - 1
     antilog, log = field.antilog_table, field.log_table
+    assert field.antilog_table is antilog and field.log_table is log  # built once
     assert antilog.dtype == np.uint32 and log.dtype == np.int32
     assert antilog.shape == (n,) and log.shape == (field.order,)
     assert not antilog.flags.writeable and not log.flags.writeable

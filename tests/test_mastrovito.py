@@ -288,10 +288,8 @@ def test_serial_step_spec_mode_validation(field4):
 
 # -- operations that need only phi -----------------------------------------------------
 
-def test_operations_that_need_only_phi_run_without_tables():
+def test_operations_that_need_only_phi_run_without_tables(forbid_table_build):
     phi = Gf2Poly.parse("x^6+x^5+1")
-    bare, twin = GF2m(6, phi), GF2m(6, phi)
-    bare.antilog_table = bare.log_table = None
 
     def run(field):
         a, b = field.element("x^5+x^2+1"), field.element(0b011011)
@@ -308,7 +306,13 @@ def test_operations_that_need_only_phi_run_without_tables():
             emit_netlist(SerialStepSpec(field, "nand")),
         ]
 
-    assert run(bare) == run(twin)
+    def constants():
+        return [constant_mul_matrix(field, i) for field in fields_up_to(8)
+                for i in range(field.order - 1)]
+
+    want = run(GF2m(6, phi)), constants()
+    forbid_table_build()
+    assert (run(GF2m(6, phi)), constants()) == want
 
 
 # -- complexity report ---------------------------------------------------------------------
