@@ -1,11 +1,12 @@
 """Bit-parallel multiplication over GF(2^m) as explicit matrix and circuit
 artifacts, plus the bit-serial interleaved multiplier and its NAND rewrite.
 
-The product c = a*b is the matrix-vector product c = Z(a) . b where column
-j of Z is the coefficient vector of x^j * a(x) mod phi(x).  Fixing a makes
-Z(a) a constant map (for a = alpha^i, column j is the vector of alpha^(i+j))
-and squaring is one more (column j = vector of alpha^(2j)).  Each is a
-MastrovitoMatrix (field, rows, label), and emit_netlist emits any as XORs.
+The product c = a*b is m bilinear forms, c_i summing the a_k * b_j where
+x^(j+k) mod phi has bit i set; symbolic_z_matrix and the general netlist
+read them.  Fixing a gives c = Z(a) . b, column j of Z being x^j * a mod phi;
+a = alpha^i gives a constant map (column j is alpha^(i+j)) and squaring is
+one more (column j is alpha^(2j)).  Each is a MastrovitoMatrix (field, rows,
+label), and emit_netlist emits any as XORs.
 
 Row i of a matrix reads directly as an output equation, e.g.
 "z0 = a0 + a1 + a2"; xor_count totals the "+" operators,
@@ -91,22 +92,19 @@ def build_z_matrix(a: FieldElement) -> MastrovitoMatrix:
                             f"multiplier by {a.bits:0{m}b}")
 
 
-def symbolic_z_matrix(field: GF2m) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Entry (i, j) as the set of a-indices feeding it, for display.
+def _product_forms(field: GF2m) -> tuple[tuple[int, ...], ...]:
+    """forms[i][k] has bit j = bit i of x^(j+k) mod phi, so that
+    c_i = sum over k of a_k * parity(forms[i][k] & b)."""
+    m, mask = field.m, (1 << field.m) - 1
+    seq = transpose(_x_multiples(1, 2 * m - 1, m, field._phi), m)
+    return tuple(tuple(s >> k & mask for k in range(m)) for s in seq)
 
-    entry[i][j] lists the k with z_ij = sum over k of a_k: exactly those k
-    where x^(j+k) mod phi has coefficient 1 at x^i.
-    """
-    m = field.m
-    contrib = _x_multiples(1, 2 * m - 1, m, field._phi)
-    entries = [[[] for _ in range(m)] for _ in range(m)]
-    for j in range(m):
-        for k in range(m):
-            bits = contrib[j + k]  # x^(j+k) mod phi
-            for i in range(m):
-                if (bits >> i) & 1:
-                    entries[i][j].append(k)
-    return tuple(tuple(tuple(cell) for cell in row) for row in entries)
+
+def symbolic_z_matrix(field: GF2m) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Entry (i, j) lists the k with z_ij = sum over k of a_k, for display:
+    the set bits of row j of the form of c_i, ascending."""
+    return tuple(tuple(tuple(k for k in range(field.m) if row >> k & 1)
+                       for row in form) for form in _product_forms(field))
 
 
 def mat_vec_mul(z: MastrovitoMatrix, b: FieldElement) -> FieldElement:
@@ -217,20 +215,20 @@ def emit_netlist(source: MastrovitoMatrix | SerialStepSpec) -> XorNetlist:
 
 
 def general_multiplier_netlist(field: GF2m) -> XorNetlist:
-    """The two-operand multiplier: f-network, m^2 ANDs, then XOR folds."""
+    """The two-operand multiplier: m^2 ANDs and XOR folds over an f-network
+    keyed on form rows, one XOR tree of a-inputs per distinct row."""
     m = field.m
     nb = NetlistBuilder(f"general multiplier over GF(2^{m})")
     a = [nb.add_input(f"a_{k}") for k in range(m)]
     b = [nb.add_input(f"b_{j}") for j in range(m)]
-    entries = symbolic_z_matrix(field)
-    znodes: dict[tuple[int, ...], str] = {}
-    for i in range(m):
+    znodes: dict[int, str] = {}
+    for i, form in enumerate(_product_forms(field)):
         products = []
-        for j in range(m):
-            key = entries[i][j]
-            if key not in znodes:
-                znodes[key] = nb.xor_tree([a[k] for k in key])
-            products.append(nb.gate("AND", znodes[key], b[j]))
+        for j, row in enumerate(form):
+            if row not in znodes:
+                znodes[row] = nb.xor_tree([a[k] for k in range(m)
+                                           if row >> k & 1])
+            products.append(nb.gate("AND", znodes[row], b[j]))
         nb.output(f"c_{i}", nb.xor_tree(products))
     return nb.build()
 

@@ -62,6 +62,10 @@ class XorNetlist:
             if name in depths:
                 raise Gf2mError(f"duplicate node name {name!r}")
             depths[name] = 0
+        for c in self.consts:
+            if type(c.value) is not int or c.value not in (0, 1):
+                raise Gf2mError(
+                    f"constant {c.name!r} is {c.value!r}, not 0 or 1")
         for g in self.gates:
             if g.kind not in _KINDS:
                 raise Gf2mError(f"unknown gate kind {g.kind!r}")

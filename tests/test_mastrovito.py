@@ -26,7 +26,9 @@ from gf2m import (
     xor_count,
     xor_count_estimate,
 )
+from gf2m.bitmatrix import mul_vec
 from gf2m.errors import DimensionMismatch, FieldMismatch, Gf2mError, UnsupportedTrinomial
+from gf2m.mastrovito import _product_forms
 
 # Exact XOR counts of the GF(2^4) constant multipliers, index = exponent.
 GF16_XOR_COUNTS = [0, 1, 2, 3, 5, 5, 5, 6, 6, 8, 9, 8, 6, 3, 1]
@@ -51,16 +53,33 @@ def test_matrix_columns_are_shifted_reductions(field4):
         assert col == field4.alpha(5 + j).bits  # x^j * a mod phi
 
 
-def test_symbolic_matrix_specializes_to_every_element(field4):
-    sym = symbolic_z_matrix(field4)
-    for a in field4.elements():
-        z = build_z_matrix(a)
-        for i in range(4):
-            for j in range(4):
-                bit = 0
-                for k in sym[i][j]:
-                    bit ^= (a.bits >> k) & 1
-                assert bit == z.entry(i, j)
+def test_symbolic_matrix_specializes_to_every_element():
+    for field in fields_up_to(6):
+        m = field.m
+        sym = symbolic_z_matrix(field)
+        for a in field.elements():
+            z = build_z_matrix(a)
+            for i in range(m):
+                for j in range(m):
+                    bit = 0
+                    for k in sym[i][j]:
+                        bit ^= (a.bits >> k) & 1
+                    assert bit == z.entry(i, j), (field, a, i, j)
+
+
+def test_product_forms_are_symmetric_and_give_every_product():
+    for field in fields_up_to(6):
+        m = field.m
+        forms = _product_forms(field)
+        for form in forms:
+            assert all((form[k] >> j & 1) == (form[j] >> k & 1)
+                       for j in range(m) for k in range(m)), field
+        for a in field.elements():
+            for b in field.elements():
+                # c_i = sum over k of a_k * parity(forms[i][k] & b)
+                got = sum(((a.bits & mul_vec(form, b.bits)).bit_count() & 1)
+                          << i for i, form in enumerate(forms))
+                assert got == field.mul_poly(a, b).bits, (field, a, b)
 
 
 def test_mat_vec_dimension_checks(field3, field4):
@@ -208,6 +227,35 @@ def test_general_multiplier_netlist_m4(field4):
             out = nl.simulate(vals)
             got = sum(out[f"c_{j}"] << j for j in range(4))
             assert got == (a * b).bits
+
+
+def _anf_outputs(nl, m: int) -> dict[str, int]:
+    """Each output's algebraic normal form as an int over monomials: a_k is
+    bit k, b_j bit m + j and a_k * b_j bit 2m + k*m + j.  Every AND must
+    join an a-linear wire with a single b_j, so no other monomial occurs."""
+    assert not nl.consts
+    anf = {f"a_{k}": 1 << k for k in range(m)}
+    anf |= {f"b_{j}": 1 << (m + j) for j in range(m)}
+    for g in nl.gates:
+        x, y = sorted((anf[g.a], anf[g.b]))  # an a-linear wire sorts first
+        if g.kind == "XOR":
+            anf[g.gid] = x ^ y
+            continue
+        assert g.kind == "AND" and 0 < x < 1 << m, g
+        assert y.bit_count() == 1 and m <= y.bit_length() - 1 < 2 * m, g
+        j = y.bit_length() - 1 - m
+        anf[g.gid] = sum(1 << (2 * m + k * m + j)
+                         for k in range(m) if x >> k & 1)
+    return {port: anf[src] for port, src in nl.outputs}
+
+
+def test_general_multiplier_netlist_has_the_anf_of_the_product_forms():
+    for m in range(2, 25):
+        field = GF2m(m)
+        anf = _anf_outputs(general_multiplier_netlist(field), m)
+        for i, form in enumerate(_product_forms(field)):
+            assert anf[f"c_{i}"] == sum(row << (2 * m + k * m)
+                                        for k, row in enumerate(form)), (m, i)
 
 
 def test_z_matrix_netlist_multiplies_by_a():

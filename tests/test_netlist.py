@@ -7,6 +7,7 @@ import pytest
 
 from gf2m import NetlistBuilder, XorNetlist
 from gf2m.errors import Gf2mError
+from gf2m.netlist import Const
 
 
 def _xor_pair() -> XorNetlist:
@@ -95,6 +96,21 @@ def test_constants_are_deduplicated():
     nb.output("o", c)
     assert a == b == "zero" and c == "one"
     assert len(nb.build().consts) == 2
+
+
+def test_builder_constant_other_than_0_or_1_is_rejected():
+    nb = NetlistBuilder()
+    nb.add_input("x")
+    nb.output("o", nb.const(2))
+    with pytest.raises(Gf2mError, match="not 0 or 1"):
+        nb.build()
+
+
+def test_direct_constant_other_than_0_or_1_is_rejected():
+    for value in (2, -1, True, 1.0):
+        with pytest.raises(Gf2mError, match="not 0 or 1"):
+            XorNetlist(inputs=("x",), consts=(Const("c", value),), gates=(),
+                       outputs=(("o", "c"),))
 
 
 def test_input_named_like_a_constant_is_rejected_at_the_clash():
