@@ -7,14 +7,16 @@ printed vector form follows the usual table convention with the coefficient
 of alpha^(m-1) leftmost, so alpha in GF(2^4) prints as "0010".
 
 The first read of either table fills the antilog table alpha^0 ..
-alpha^(2^m-2) by doubling blocks: the first 256 powers are
-polynomial._x_multiples of 1 mod phi, and each block alpha^k ..
-alpha^(2k-1) after them is the block before times alpha^k, applied with
-numpy through one 256-entry lookup table per byte of the element; the log
-table, the inverse permutation, is scattered in as the blocks are
-written.  Memory grows as 2^m, 8 bytes per element: degrees are capped at
-MAX_DEGREE = 24, the registry's range, where the tables take 128 MiB and
-build in a few tenths of a second.
+alpha^(2^m-2) by phi's own recurrence.  The first 256 powers are
+polynomial._x_multiples of 1 mod phi.  After them, with k powers known,
+alpha^(k+e) = alpha^k * alpha^e is the XOR of alpha^(j+e) over the set
+bits j of alpha^k, so the next k - m + 1 powers are an XOR of slices of
+the table already filled (each coordinate of alpha^e is a linear
+recurring sequence with characteristic polynomial phi).  The log table,
+the inverse permutation, is scattered in once the antilog table is
+complete.  Memory grows as 2^m, 8 bytes per element: degrees are capped
+at MAX_DEGREE = 24, the registry's range, where the tables take 128 MiB
+and build in well under a second.
 
 Inside the library an element is its int bits.  The public methods check
 their FieldElement operands once, compute on ints (every table product
@@ -56,8 +58,8 @@ __all__ = ["GF2m", "FieldElement", "PowerForm", "MAX_DEGREE"]
 
 MAX_DEGREE = 24
 # Powers the table build computes one multiply-by-alpha at a time; larger
-# tables grow from this prefix by doubling blocks, written _CHUNK entries
-# at a time.
+# tables grow from this prefix in blocks of XORed slices.  The log table
+# is scattered _CHUNK entries at a time.
 _SEED_POWERS = 1 << 8
 _CHUNK = 1 << 16
 
@@ -124,26 +126,26 @@ class GF2m:
         import numpy as np  # loaded by the first table read, not on import
         m, phi = self.m, self._phi
         n = self.order - 1
-        antilog = np.empty(n, dtype="<u4")  # bytes least significant first
-        log = np.empty(self.order, dtype=np.int32)
-        log[0] = -1
+        antilog = np.empty(n, dtype="<u4")  # the same bytes on every host
         k = min(n, _SEED_POWERS)
         antilog[:k] = _x_multiples(1, k, m, phi)
-        log[antilog[:k]] = np.arange(k, dtype=np.int32)
-        planes = antilog.view(np.uint8).reshape(n, 4)  # byte j of every entry
         while k < n:
-            # antilog[k:2k] = alpha^k * antilog[0:k], a chunk at a time so
-            # that the temporaries stay small and in cache
-            tables = _byte_tables(_xtime(int(antilog[k - 1]), m, phi), m, phi)
-            end = min(2 * k, n)
-            for lo in range(k, end, _CHUNK):
-                hi = min(lo + _CHUNK, end)
-                src, dst = planes[lo - k:hi - k], antilog[lo:hi]
-                dst[:] = tables[0][src[:, 0]]
-                for j, table in enumerate(tables[1:], 1):
-                    dst ^= table[src[:, j]]
-                log[dst] = np.arange(lo, hi, dtype=np.int32)
-            k = end
+            # alpha^(k+e) is the XOR of alpha^(j+e) over the bits j of
+            # alpha^k; for e < k - m + 1 every source slice ends by index k,
+            # so it is filled and does not overlap the block
+            c = _xtime(int(antilog[k - 1]), m, phi)
+            size = min(k - m + 1, n - k)
+            block = antilog[k:k + size]
+            taps = [j for j in range(m) if c >> j & 1]
+            block[:] = antilog[taps[0]:taps[0] + size]
+            for j in taps[1:]:
+                block ^= antilog[j:j + size]
+            k += size
+        log = np.empty(self.order, dtype=np.int32)
+        log[0] = -1
+        for lo in range(0, n, _CHUNK):  # chunks keep the temporaries small
+            hi = min(lo + _CHUNK, n)
+            log[antilog[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
         antilog.flags.writeable = False
         log.flags.writeable = False
         self._tables = log, antilog
@@ -294,7 +296,8 @@ class GF2m:
 
     def poly_str(self, a: "FieldElement") -> str:
         """Sum of alpha powers, highest degree first; "0" for the zero element."""
-        return self.format_row(a)[1]
+        self._same_field(a)
+        return _poly_text(a.bits)
 
     def format_row(self, a: "FieldElement") -> tuple[str, str, str]:
         """(power, polynomial, vector) strings, one representation table row."""
@@ -303,22 +306,20 @@ class GF2m:
 
     def _row(self, bits: int) -> tuple[str, str, str]:
         power = PowerForm(self.log_table.item(bits) if bits else None)
-        return (str(power), Gf2Poly(bits).to_terms("α", spaced=True),
-                format(bits, f"0{self.m}b"))
+        return str(power), _poly_text(bits), format(bits, f"0{self.m}b")
 
     def table_rows(self) -> list[tuple[str, str, str]]:
         """All 2^m rows of the representation table: 0 first, then alpha^0..
 
         Row k is alpha^(k-1), in antilog order.  Its polynomial joins those
         of the high and low halves of its bits, looked up in two tables
-        that `_row` fills from `Gf2Poly.to_terms`, the one polynomial
-        formatter.
+        that `_poly_text`, the one polynomial formatter, fills.
         """
         m, low = self.m, self.m // 2
         mask = (1 << low) - 1
-        highs = [self._row(h << low)[1] if h else ""
+        highs = [_poly_text(h << low) if h else ""
                  for h in range(1 << (m - low))]
-        lows = [self._row(b)[1] if b else "" for b in range(1 << low)]
+        lows = [_poly_text(b) if b else "" for b in range(1 << low)]
         vector = f"0{m}b"
         rows = [self._row(0)]
         for k, bits in enumerate(self.antilog_table.tolist()):
@@ -329,23 +330,10 @@ class GF2m:
         return rows
 
 
-def _byte_tables(c: int, m: int, phi: int) -> list:
-    """Tables for multiplying m-bit values by the constant c, byte by byte.
-
-    Multiplying by c is GF(2)-linear, so c * x is the XOR over the bytes
-    of x of table j at byte j, where table j holds c * (v << 8j) for every
-    byte value v.  Each table is filled by doubling: the entries with bit
-    b set are those below 2^b XOR c * alpha^(8j+b).
-    """
-    import numpy as np
-    cols = _x_multiples(c, (m + 7) // 8 * 8, m, phi)  # c * alpha^(8j+b)
-    tables = []
-    for j in range(0, len(cols), 8):
-        table = np.zeros(256, dtype=np.uint32)
-        for b, col in enumerate(cols[j:j + 8]):
-            table[1 << b:2 << b] = table[:1 << b] ^ col
-        tables.append(table)
-    return tables
+def _poly_text(bits: int) -> str:
+    """The element with these bits as a sum of alpha powers, from its bits
+    alone: no table read."""
+    return Gf2Poly(bits).to_terms("α", spaced=True)
 
 
 @dataclass(frozen=True)

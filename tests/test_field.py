@@ -141,6 +141,28 @@ def test_tables_over_non_registry_polynomials(terms):
     _check_tables(GF2m(poly.degree, poly))
 
 
+@pytest.mark.parametrize("m, count", [(9, 48), (10, 60)])
+def test_tables_over_every_primitive_polynomial(m, count):
+    # the first degrees past the 256-power seed: every tap pattern of phi
+    # goes through the first blocks of the build
+    polys = [Gf2Poly(bits) for bits in range((1 << m) + 1, 2 << m, 2)
+             if is_primitive(Gf2Poly(bits))]
+    assert len(polys) == count
+    for poly in polys:
+        _check_tables(GF2m(m, poly))
+
+
+def test_table_build_temporaries_stay_small():
+    field = GF2m(20)
+    tracemalloc.start()
+    try:
+        field.antilog_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (1 << 20) + (1 << 20)  # the tables, plus 1 MiB
+
+
 def test_field_identity_and_hash(field4):
     assert field4 == GF2m(4)
     assert hash(field4) == hash(GF2m(4))
@@ -163,6 +185,19 @@ def test_gf8_worked_lines_use_mod2_coefficients(field3):
     assert field3.alpha(4).poly_str() == "α^2 + α"
     # alpha^6 = (alpha^3)^2 = 1 + alpha^2, not 1 + alpha
     assert field3.alpha(6).poly_str() == "α^2 + 1"
+
+
+@pytest.mark.parametrize("m, bits, poly", [
+    (20, (1 << 19) | 0b11, "α^19 + α + 1"),
+    (24, (1 << 23) | 0b101, "α^23 + α^2 + 1"),
+], ids=["m20", "m24"])
+def test_element_text_builds_no_table(forbid_table_build, m, bits, poly):
+    a = GF2m(m).element(bits)
+    forbid_table_build()
+    vector = format(bits, f"0{m}b")
+    assert a.poly_str() == poly
+    assert a.vector_str() == str(a) == vector
+    assert repr(a) == f"FieldElement('{vector}', m={m})"
 
 
 def test_table_rows_shape_and_anchors(field4):
