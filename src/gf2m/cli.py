@@ -13,11 +13,14 @@ code analyze    distance/rate report for a block code read from a file
 report gates    per-constant XOR counts, or the trinomial complexity table
 errata          published-vs-computed discrepancy registry
 
-Every subcommand takes ``--format table|csv|json``.  Handlers compute their
-data and pass it to ``_render``, the only reader of the format: json renders
-a document built on demand, csv a header row and grid rows, and table the
-grid or, where the command has one, its own text (netlists have no csv
-form).  Exit codes: 0 success, 2 invalid input, 3 internal invariant breach.
+Every subcommand takes ``--format table|csv|json``.  Handlers validate and
+compute their data, then pass it to ``_render``, the only reader of the
+format.  It returns an emitter, which ``main`` runs on ``sys.stdout.write``:
+json writes a document built on demand, csv a header row and grid rows, and
+table the grid or, where the command has one, its own text (netlists have no
+csv form).  The renderers write as they format, a chunk of rows at a time,
+so no command holds its whole output.  Exit codes: 0 success (also when the
+reader closes the pipe early), 2 invalid input, 3 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
-from typing import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain, islice
 
 from . import algebra, code_metrics, mastrovito
 from . import lfsr as lfsr_mod
@@ -42,57 +47,71 @@ __all__ = ["main", "build_parser"]
 
 # -- rendering ---------------------------------------------------------------
 
-def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    cells = [list(headers)] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+Write = Callable[[str], object]
+Emit = Callable[[Write], None]
 
-    def line(row: Sequence[str]) -> str:
-        return " | ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
-
-    out = [line(cells[0]), line(["-" * w for w in widths])]
-    out += [line(row) for row in cells[1:]]
-    return "\n".join(out) + "\n"
+# Rows (table lines, csv rows, JSON list members) per write: writes stay
+# few, and no renderer holds more than this many formatted rows.
+_CHUNK = 1024
 
 
-def render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buf.getvalue()
+def render_table(headers: Sequence[str], rows: Iterable[Sequence[str]],
+                 write: Write) -> None:
+    rows = rows if isinstance(rows, Sequence) else list(rows)
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    lines = (" | ".join(map(str.ljust, row, widths)).rstrip() + "\n"
+             for row in chain([headers, ["-" * w for w in widths]], rows))
+    for chunk in iter(lambda: "".join(islice(lines, _CHUNK)), ""):
+        write(chunk)
+
+
+def render_csv(headers: Sequence[str], rows: Iterable[Sequence[str]],
+               write: Write) -> None:
+    rows = chain([headers], rows)
+    while chunk := list(islice(rows, _CHUNK)):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(chunk)
+        write(buf.getvalue())
 
 
 _encode_str = json.encoder.encode_basestring
 _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def render_json(obj: object) -> str:
-    """``json.dumps(obj, indent=2, ensure_ascii=False)`` plus a newline.
+class _KeyPrefixes(dict):
+    """The encoded `"key": ` of each dict key, made once per document."""
 
-    With an indent, ``json`` encodes through its pure-Python generator;
-    here each container is one join of its members' strings, and strings
-    and scalars go through ``json``'s C encoders.  Every dict key must be a
-    str, as in every document the CLI builds; any other raises TypeError.
+    def __missing__(self, key: str) -> str:
+        prefix = self[key] = _encode_str(key) + ": "
+        return prefix
+
+
+def render_json(obj: object, write: Write) -> None:
+    """Write ``json.dumps(obj, indent=2, ensure_ascii=False)`` plus a newline.
+
+    An iterator renders as a list.  The document's dicts are written
+    member by member and its lists _CHUNK members per write, as they are
+    consumed, so a generator of rows is never held whole.  Each list member
+    is one join of its own members' strings, and strings and scalars go
+    through ``json``'s C encoders (with an indent, ``json`` itself encodes
+    through its pure-Python generator).  Every dict key must be a str, as
+    in every document the CLI builds; any other raises TypeError.
     """
-    prefixes: dict[str, str] = {}
+    prefixes = _KeyPrefixes()
 
     def encode(o: object, newline: str) -> str:
         if isinstance(o, str):
             return _encode_str(o)
         inner = newline + "  "
-        if isinstance(o, (list, tuple)):
+        if isinstance(o, dict):
+            brackets = "{}"
+            members = [prefixes[k] + (_encode_str(v) if isinstance(v, str)
+                                      else encode(v, inner))
+                       for k, v in o.items()]
+        elif isinstance(o, (list, tuple, Iterator)):
             brackets = "[]"
             members = [_encode_str(v) if isinstance(v, str)
                        else encode(v, inner) for v in o]
-        elif isinstance(o, dict):
-            brackets = "{}"
-            members = []
-            for k, v in o.items():
-                prefix = prefixes.get(k)
-                if prefix is None:
-                    prefix = prefixes[k] = _encode_str(k) + ": "
-                members.append(prefix + (_encode_str(v) if isinstance(v, str)
-                                         else encode(v, inner)))
         else:
             return _encode_scalar(o)
         if not members:
@@ -100,37 +119,61 @@ def render_json(obj: object) -> str:
         return (brackets[0] + inner + ("," + inner).join(members)
                 + newline + brackets[1])
 
-    return encode(obj, "\n") + "\n"
+    def stream(o: object, newline: str) -> Iterator[str]:
+        """`encode(o, newline)` in pieces, down to the members of lists."""
+        inner = newline + "  "
+        if isinstance(o, dict):
+            sep = "{" + inner
+            for k, v in o.items():
+                yield sep + prefixes[k]
+                yield from stream(v, inner)
+                sep = "," + inner
+            yield "{}" if sep[0] == "{" else newline + "}"
+        elif isinstance(o, (list, tuple, Iterator)):
+            sep, members = "[" + inner, iter(o)
+            while chunk := [encode(v, inner) for v in islice(members, _CHUNK)]:
+                yield sep + ("," + inner).join(chunk)
+                sep = "," + inner
+            yield "[]" if sep[0] == "[" else newline + "]"
+        else:
+            yield encode(o, newline)
+
+    for piece in stream(obj, "\n"):
+        write(piece)
+    write("\n")
 
 
 def _render(fmt: str, doc: Callable[[], object],
             headers: Sequence[str] = (),
-            rows: Sequence[Sequence[str]] | None = (),
-            text: Callable[[], str] | None = None) -> str:
-    """The command's output in format `fmt`; the only reader of --format.
+            rows: Iterable[Sequence[str]] | None = (),
+            text: Emit | None = None) -> Emit:
+    """The emitter that writes the command's output in format `fmt`; the
+    only reader of --format.
 
-    `doc` and `text` are called only when their format is asked for, so a
-    table or csv run never builds the JSON document.  `rows` is None for a
-    netlist, which has no csv form.
+    `doc` and the emitter `text` run only when the returned emitter does,
+    and only in their format, so a table or csv run never builds the JSON
+    document.  `rows` is None for a netlist, which has no csv form; that
+    error is raised here, before anything is written.
     """
     if fmt == "json":
-        return render_json(doc())
+        return lambda write: render_json(doc(), write)
     if fmt == "csv":
         if rows is None:
             raise Gf2mError("netlists have no csv form; use table or json")
-        return render_csv(headers, rows)
-    return text() if text else render_table(headers, rows)
+        return lambda write: render_csv(headers, rows, write)
+    return text or (lambda write: render_table(headers, rows, write))
 
 
-def _render_netlist(fmt: str, netlist: XorNetlist) -> str:
-    return _render(fmt, netlist.to_json, rows=None, text=netlist.serialize)
+def _render_netlist(fmt: str, netlist: XorNetlist) -> Emit:
+    return _render(fmt, netlist.to_json, rows=None,
+                   text=lambda write: write(netlist.serialize()))
 
 
 def _render_items(fmt: str, doc: Callable[[], object],
-                  items: Sequence[tuple[str, str]]) -> str:
+                  items: Sequence[tuple[str, str]]) -> Emit:
     """A key/value report: a key,value grid, or `key = value` lines."""
-    return _render(fmt, doc, ["key", "value"], items, lambda: "".join(
-        f"{key} = {value}\n" for key, value in items))
+    return _render(fmt, doc, ["key", "value"], items, lambda write: write(
+        "".join(f"{key} = {value}\n" for key, value in items)))
 
 
 def _make_field(m: int, poly_text: str | None = None) -> GF2m:
@@ -138,20 +181,20 @@ def _make_field(m: int, poly_text: str | None = None) -> GF2m:
     return GF2m(m, poly)
 
 
-# -- subcommand handlers (each returns the full output string) ---------------
+# -- subcommand handlers (each returns the emitter of its output) ------------
 
-def cmd_field_table(args: argparse.Namespace) -> str:
+def cmd_field_table(args: argparse.Namespace) -> Emit:
     field = _make_field(args.m, args.poly)
     rows = field.table_rows()
     return _render(args.format, lambda: {
         "m": field.m,
         "prime_poly": field.prime_poly.to_binary(),
-        "rows": [{"power": p, "polynomial": q, "vector": v}
-                 for p, q, v in rows],
+        "rows": ({"power": p, "polynomial": q, "vector": v}
+                 for p, q, v in rows),
     }, ["power", "polynomial", "vector"], rows)
 
 
-def cmd_minpolys(args: argparse.Namespace) -> str:
+def cmd_minpolys(args: argparse.Namespace) -> Emit:
     field = _make_field(args.m)
     n = field.order - 1
 
@@ -181,7 +224,7 @@ def cmd_minpolys(args: argparse.Namespace) -> str:
          for labels, terms, binary in classes])
 
 
-def cmd_bases(args: argparse.Namespace) -> str:
+def cmd_bases(args: argparse.Namespace) -> Emit:
     field = _make_field(args.m)
     powers = [PowerForm.ZERO] + [PowerForm(e) for e in range(field.order - 1)]
     rows = [(str(power),
@@ -199,7 +242,7 @@ def cmd_bases(args: argparse.Namespace) -> str:
     }, ["power", "standard", "dual", "normal"], rows)
 
 
-def cmd_constmul(args: argparse.Namespace) -> str:
+def cmd_constmul(args: argparse.Namespace) -> Emit:
     field = _make_field(args.m)
     power = args.power
     z = mastrovito.constant_mul_matrix(field, power)
@@ -217,10 +260,10 @@ def cmd_constmul(args: argparse.Namespace) -> str:
         "m": field.m, "power": power, "equations": equations,
         "xor_count": count, "estimate": estimate,
     }, ["output", "terms"], [eq.split(" = ", 1) for eq in equations],
-        lambda: "\n".join(equations) + "\n")
+        lambda write: write("\n".join(equations) + "\n"))
 
 
-def cmd_mastrovito(args: argparse.Namespace) -> str:
+def cmd_mastrovito(args: argparse.Namespace) -> Emit:
     field = _make_field(args.m)
     a = None if args.a is None else field.element(args.a)
     if args.emit == "netlist":
@@ -246,7 +289,7 @@ def cmd_mastrovito(args: argparse.Namespace) -> str:
         [(f"z{i}", bits[i], equations[i]) for i in range(field.m)])
 
 
-def cmd_lfsr_divide(args: argparse.Namespace) -> str:
+def cmd_lfsr_divide(args: argparse.Namespace) -> Emit:
     g = Gf2Poly.parse(args.g)
     p = Gf2Poly.parse(args.p)
     remainder, trace = lfsr_mod.divide(p, g)
@@ -259,18 +302,22 @@ def cmd_lfsr_divide(args: argparse.Namespace) -> str:
                       f"({remainder.to_terms('X')})\n")
     # --format json wins; otherwise --trace csv|table overrides --format
     fmt = "json" if args.format == "json" else args.trace or args.format
+
+    def text(write: Write) -> None:
+        if args.trace:
+            render_table(headers, rows, write)
+        write(remainder_line)
+
     return _render(fmt, lambda: {
         "g": g.to_binary(), "p": p.to_binary(),
         "remainder": remainder.to_binary(),
         "remainder_terms": remainder.to_terms("X"),
         "rows": [{"clock": r.clock, "input": r.input_bit,
                   "regs": list(r.regs_after)} for r in trace],
-    }, headers, rows,
-        lambda: (render_table(headers, rows) if args.trace else "")
-        + remainder_line)
+    }, headers, rows, text)
 
 
-def cmd_code_analyze(args: argparse.Namespace) -> str:
+def cmd_code_analyze(args: argparse.Namespace) -> Emit:
     try:
         with open(args.words, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
@@ -284,7 +331,7 @@ def cmd_code_analyze(args: argparse.Namespace) -> str:
     return _render_items(args.format, lambda: dict(items), items)
 
 
-def cmd_report_gates(args: argparse.Namespace) -> str:
+def cmd_report_gates(args: argparse.Namespace) -> Emit:
     if args.k is not None:
         report = mastrovito.complexity_report(args.m, args.k)
         headers = ["design", "AND", "NAND", "XOR", "delay"]
@@ -294,39 +341,45 @@ def cmd_report_gates(args: argparse.Namespace) -> str:
             return [{"design": d, "and": a, "nand": n, "xor": x, "delay": t}
                     for d, a, n, x, t in part]
 
+        def text(write: Write) -> None:
+            write(f"multiplier complexity over x^{report.m} + x^{report.k} + 1 "
+                  f"(m = {report.m}, k = {report.k})\n\n")
+            render_table(headers, rows, write)
+            write("\n" + "".join(f"note: {n}\n" for n in report.notes))
+
         return _render(args.format, lambda: {
             "m": report.m, "k": report.k,
             "literature": section(report.literature),
             "measured": section(report.measured),
             "notes": list(report.notes),
-        }, headers, rows, lambda: (
-            f"multiplier complexity over x^{report.m} + x^{report.k} + 1 "
-            f"(m = {report.m}, k = {report.k})\n\n"
-            + render_table(headers, rows) + "\n"
-            + "".join(f"note: {n}\n" for n in report.notes)))
+        }, headers, rows, text)
     field = _make_field(args.m)
     estimate = str(mastrovito.xor_count_estimate(field.m))
     counts = [(str(PowerForm(i)), count) for i, count
               in enumerate(mastrovito.constant_xor_counts(field))]
     headers = ["power", "xor_count"]
     rows = [(p, str(c)) for p, c in counts]
+
+    def text(write: Write) -> None:
+        render_table(headers, rows, write)
+        write(f"estimate = {estimate}\n")
+
     return _render(args.format, lambda: {
         "m": field.m, "estimate": estimate,
         "counts": [{"power": p, "xor_count": c} for p, c in counts],
-    }, headers, rows + [("estimate", estimate)],
-        lambda: render_table(headers, rows) + f"estimate = {estimate}\n")
+    }, headers, rows + [("estimate", estimate)], text)
 
 
-def cmd_errata(args: argparse.Namespace) -> str:
+def cmd_errata(args: argparse.Namespace) -> Emit:
     return _render(args.format, lambda: {"errata": [{
         "id": e.eid, "where": e.where, "published": e.published,
         "computed": e.computed, "note": e.note,
     } for e in ERRATA]}, ["id", "where", "published", "computed", "note"],
         [(e.eid, e.where, e.published, e.computed, e.note) for e in ERRATA],
-        lambda: "\n".join(f"{e.eid}: {e.where}\n"
-                          f"  published: {e.published}\n"
-                          f"  computed:  {e.computed}\n"
-                          f"  note: {e.note}\n" for e in ERRATA))
+        lambda write: write("\n".join(f"{e.eid}: {e.where}\n"
+                                      f"  published: {e.published}\n"
+                                      f"  computed:  {e.computed}\n"
+                                      f"  note: {e.note}\n" for e in ERRATA)))
 
 
 # -- parser ------------------------------------------------------------------
@@ -419,12 +472,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        output = args.handler(args)
+        emit = args.handler(args)
+        emit(sys.stdout.write)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe: stop, and send what is still buffered
+        # to devnull, so that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Gf2mError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - contract: invariant breach = 3
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(output)
     return 0

@@ -308,8 +308,9 @@ class GF2m:
         power = PowerForm(self.log_table.item(bits) if bits else None)
         return str(power), _poly_text(bits), format(bits, f"0{self.m}b")
 
-    def table_rows(self) -> list[tuple[str, str, str]]:
-        """All 2^m rows of the representation table: 0 first, then alpha^0..
+    def table_rows(self) -> Iterator[tuple[str, str, str]]:
+        """All 2^m rows of the representation table, one at a time: 0
+        first, then alpha^0..
 
         Row k is alpha^(k-1), in antilog order.  Its polynomial joins those
         of the high and low halves of its bits, looked up in two tables
@@ -321,13 +322,12 @@ class GF2m:
                  for h in range(1 << (m - low))]
         lows = [_poly_text(b) if b else "" for b in range(1 << low)]
         vector = f"0{m}b"
-        rows = [self._row(0)]
+        yield self._row(0)
         for k, bits in enumerate(self.antilog_table.tolist()):
             high, rest = highs[bits >> low], lows[bits & mask]
-            rows.append((f"α^{k}",
-                         f"{high} + {rest}" if high and rest else high or rest,
-                         format(bits, vector)))
-        return rows
+            yield (f"α^{k}",
+                   f"{high} + {rest}" if high and rest else high or rest,
+                   format(bits, vector))
 
 
 def _poly_text(bits: int) -> str:

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from conftest import golden
 
-from gf2m.cli import main, render_json
+from gf2m.cli import _CHUNK, main, render_json
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -174,10 +178,45 @@ json_values = st.recursive(json_scalars, lambda inner: (
     | st.dictionaries(json_text, inner, max_size=4)), max_leaves=20)
 
 
+def _rendered(value) -> str:
+    out = io.StringIO()
+    render_json(value, out.write)
+    return out.getvalue()
+
+
+def _lists_as_iterators(value):
+    """`value` with each list, at any depth, replaced by an iterator."""
+    if isinstance(value, list):
+        return iter([_lists_as_iterators(v) for v in value])
+    if isinstance(value, tuple):
+        return tuple(_lists_as_iterators(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _lists_as_iterators(v) for k, v in value.items()}
+    return value
+
+
 @given(json_values)
 def test_render_json_matches_json_dumps(value):
-    assert render_json(value) == json.dumps(
+    assert _rendered(value) == json.dumps(
         value, indent=2, ensure_ascii=False) + "\n"
+
+
+@given(json_values)
+def test_render_json_renders_iterators_as_lists(value):
+    assert _rendered(_lists_as_iterators(value)) == json.dumps(
+        value, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_render_json_writes_a_long_list_in_chunks():
+    rows = [{"power": str(k), "vector": format(k, "b")} for k in range(5000)]
+    writes = []
+    render_json({"m": 4, "rows": iter(rows), "empty": iter([])},
+                writes.append)
+    assert "".join(writes) == json.dumps(
+        {"m": 4, "rows": rows, "empty": []}, indent=2) + "\n"
+    # one write per chunk of rows, and never more than a chunk in a write
+    assert max(w.count('"power"') for w in writes) == _CHUNK
+    assert len(writes) < 20
 
 
 # json.dumps rejects the first two too; it would quote the last two keys,
@@ -185,7 +224,55 @@ def test_render_json_matches_json_dumps(value):
 @pytest.mark.parametrize("value", [{(1, 2): 3}, [object()], {1: 0}, {None: 0}])
 def test_render_json_rejects_non_json_values_and_non_str_keys(value):
     with pytest.raises(TypeError):
-        render_json(value)
+        render_json(value, io.StringIO().write)
+
+
+class _CountingSink:
+    """A text stdout that counts the UTF-8 bytes written and keeps none."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text: str) -> int:
+        self.bytes += len(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("fmt,size", [("json", 9983194), ("csv", 5264559)])
+def test_field_table_is_never_held_whole(monkeypatch, fmt, size):
+    # numpy's first import allocates about 6 MiB; it is not the table's
+    import numpy  # noqa: F401
+
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        status = main(["field", "table", "--m", "16", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert sink.bytes == size
+    # the whole output is 5-10 MB as UTF-8, and far more as str objects
+    assert peak < 8 << 20, peak
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("lines", [0, 1])
+def test_a_reader_that_closes_the_pipe_early_ends_a_clean_run(fmt, lines):
+    # 0: the pipe is closed before the first write; 1: after the first line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gf2m", "field", "table", "--m", "16",
+         "--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
 
 
 def test_custom_defining_polynomial(cli):

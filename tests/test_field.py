@@ -201,7 +201,7 @@ def test_element_text_builds_no_table(forbid_table_build, m, bits, poly):
 
 
 def test_table_rows_shape_and_anchors(field4):
-    rows = field4.table_rows()
+    rows = list(field4.table_rows())
     assert len(rows) == 16
     assert rows[0] == ("-", "0", "0000")
     assert rows[1] == ("α^0", "1", "0001")
@@ -214,7 +214,7 @@ def test_table_rows_match_format_row():
     for field in fields_up_to(16):
         want = [field.format_row(field.zero)] + [
             field.format_row(field.alpha(k)) for k in range(field.order - 1)]
-        assert field.table_rows() == want, field
+        assert list(field.table_rows()) == want, field
 
 
 def test_power_form_str_and_zero(field4):
