@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import bitmatrix
-from .errors import DependentBasis, Gf2mError
+from .errors import DependentBasis, DimensionMismatch, Gf2mError
 from .field import GF2m, FieldElement
 from .polynomial import Gf2Poly, _x_multiples
 
@@ -138,10 +138,17 @@ def _trace_matrix(field: GF2m) -> tuple[int, ...]:
     return tuple(sum(tr[i + k] << i for i in range(m)) for k in range(m))
 
 
+def _basis_field(basis: Sequence[FieldElement]) -> GF2m:
+    """The field of `basis`'s first element; an empty basis spans nothing."""
+    if not basis:
+        raise DependentBasis("a basis needs at least one element")
+    return basis[0].field
+
+
 def _basis_matrix(basis: Sequence[FieldElement]) -> tuple[GF2m, tuple[int, ...]]:
     """The field of `basis` and its coordinate matrix, after checking that
     `basis` is a basis of that field."""
-    field = basis[0].field
+    field = _basis_field(basis)
     if len(basis) != field.m:
         raise DependentBasis(f"need {field.m} basis elements, got {len(basis)}")
     field._same_field(*basis)
@@ -218,11 +225,16 @@ def normal_basis_coords(b: FieldElement,
 def from_coords(basis: Sequence[FieldElement],
                 coords: Sequence[int]) -> FieldElement:
     """Rebuild the element sum(coords[k] * basis[k])."""
-    field = basis[0].field
+    field = _basis_field(basis)
     field._same_field(*basis)
+    if len(coords) != len(basis):
+        raise DimensionMismatch(
+            f"{len(coords)} coordinates for {len(basis)} basis elements")
+    if any(not isinstance(c, int) or c not in (0, 1) for c in coords):
+        raise Gf2mError(f"coordinates must be 0 or 1, got {tuple(coords)!r}")
     acc = 0
     for c, e in zip(coords, basis):
-        acc ^= e.bits if c & 1 else 0
+        acc ^= e.bits if c else 0
     return FieldElement(field, acc)
 
 

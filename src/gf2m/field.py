@@ -7,14 +7,14 @@ printed vector form follows the usual table convention with the coefficient
 of alpha^(m-1) leftmost, so alpha in GF(2^4) prints as "0010".
 
 The first read of either table fills the antilog table alpha^0 ..
-alpha^(2^m-2) by phi's own recurrence.  The first 256 powers are
-polynomial._x_multiples of 1 mod phi.  After them, with k powers known,
-alpha^(k+e) = alpha^k * alpha^e is the XOR of alpha^(j+e) over the set
-bits j of alpha^k, so the next k - m + 1 powers are an XOR of slices of
-the table already filled (each coordinate of alpha^e is a linear
-recurring sequence with characteristic polynomial phi).  The log table,
-the inverse permutation, is scattered in once the antilog table is
-complete.  Memory grows as 2^m, 8 bytes per element: degrees are capped
+alpha^(2^m-2) by phi's own recurrence.  The first m powers are
+x^0 .. x^(m-1).  After them, with k powers known, alpha^(k+e) =
+alpha^k * alpha^e is the XOR of alpha^(j+e) over the set bits j of
+alpha^k, so the next k - m + 1 powers (up to _CHUNK of them) are an XOR
+of slices of the table already filled (each coordinate of alpha^e is a
+linear recurring sequence with characteristic polynomial phi).  The log
+table, the inverse permutation, is scattered in once the antilog table
+is complete.  Memory grows as 2^m, 8 bytes per element: degrees are capped
 at MAX_DEGREE = 24, the registry's range, where the tables take 128 MiB
 and build in well under a second.
 
@@ -47,7 +47,6 @@ from .errors import (
 from .polynomial import (
     Gf2Poly,
     _mulmod,
-    _x_multiples,
     _xtime,
     is_irreducible,
     is_primitive,
@@ -57,10 +56,9 @@ from .polynomial import (
 __all__ = ["GF2m", "FieldElement", "PowerForm", "MAX_DEGREE"]
 
 MAX_DEGREE = 24
-# Powers the table build computes one multiply-by-alpha at a time; larger
-# tables grow from this prefix in blocks of XORed slices.  The log table
-# is scattered _CHUNK entries at a time.
-_SEED_POWERS = 1 << 8
+# The table build, the log scatter and table_rows take at most _CHUNK
+# entries at a time: the build's XOR sources then stay in cache, and the
+# other two hold no temporary the size of the table.
 _CHUNK = 1 << 16
 
 
@@ -127,14 +125,14 @@ class GF2m:
         m, phi = self.m, self._phi
         n = self.order - 1
         antilog = np.empty(n, dtype="<u4")  # the same bytes on every host
-        k = min(n, _SEED_POWERS)
-        antilog[:k] = _x_multiples(1, k, m, phi)
+        antilog[:m] = [1 << j for j in range(m)]  # alpha^j = x^j for j < m
+        k = m
         while k < n:
             # alpha^(k+e) is the XOR of alpha^(j+e) over the bits j of
             # alpha^k; for e < k - m + 1 every source slice ends by index k,
             # so it is filled and does not overlap the block
             c = _xtime(int(antilog[k - 1]), m, phi)
-            size = min(k - m + 1, n - k)
+            size = min(k - m + 1, n - k, _CHUNK)
             block = antilog[k:k + size]
             taps = [j for j in range(m) if c >> j & 1]
             block[:] = antilog[taps[0]:taps[0] + size]
@@ -184,6 +182,8 @@ class GF2m:
 
     def alpha(self, e: int) -> "FieldElement":
         """alpha^e for any integer exponent e."""
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise Gf2mError(f"exponent must be an integer, got {e!r}")
         return FieldElement(self, self._exp(0b10, e))  # alpha is x
 
     @property
@@ -322,12 +322,14 @@ class GF2m:
                  for h in range(1 << (m - low))]
         lows = [_poly_text(b) if b else "" for b in range(1 << low)]
         vector = f"0{m}b"
+        antilog = self.antilog_table
         yield self._row(0)
-        for k, bits in enumerate(self.antilog_table.tolist()):
-            high, rest = highs[bits >> low], lows[bits & mask]
-            yield (f"α^{k}",
-                   f"{high} + {rest}" if high and rest else high or rest,
-                   format(bits, vector))
+        for lo in range(0, len(antilog), _CHUNK):  # not the whole table as ints
+            for k, bits in enumerate(antilog[lo:lo + _CHUNK].tolist(), lo):
+                high, rest = highs[bits >> low], lows[bits & mask]
+                yield (f"α^{k}",
+                       f"{high} + {rest}" if high and rest else high or rest,
+                       format(bits, vector))
 
 
 def _poly_text(bits: int) -> str:

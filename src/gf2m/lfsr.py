@@ -75,7 +75,7 @@ def _regs(config: LfsrConfig, state: tuple[int, ...]) -> int:
     if len(state) != config.degree:
         raise WidthMismatch(
             f"state has {len(state)} bits, register has {config.degree}")
-    if set(state) - {0, 1}:
+    if any(not isinstance(b, int) or b not in (0, 1) for b in state):
         raise Gf2mError(f"register stages must be 0 or 1, got {state!r}")
     return sum(b << i for i, b in enumerate(state))
 
@@ -93,7 +93,9 @@ def _clock(config: LfsrConfig) -> Callable[[int, int], int]:
 def step(config: LfsrConfig, state: tuple[int, ...],
          input_bit: int) -> tuple[int, ...]:
     """One clock of the register kind config.feedback names."""
-    regs = _clock(config)(_regs(config, state), input_bit & 1)
+    if not isinstance(input_bit, int) or input_bit not in (0, 1):
+        raise Gf2mError(f"input bit must be 0 or 1, got {input_bit!r}")
+    regs = _clock(config)(_regs(config, state), input_bit)
     return unpack(regs, config.degree)
 
 

@@ -119,6 +119,8 @@ def constant_mul_matrix(field: GF2m, i: int) -> MastrovitoMatrix:
     """Matrix of the map b -> alpha^i * b; column j = vector of alpha^(i+j),
     which is x^(i+j) mod phi, so m and phi alone define it."""
     m, n = field.m, field.order - 1
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise Gf2mError(f"constant power must be an integer, got {i!r}")
     if not 0 <= i <= n - 1:
         raise Gf2mError(f"constant power {i} outside 0..{n - 1}")
     cols = _x_multiples(_powmod(0b10, i, field._phi), m, m, field._phi)

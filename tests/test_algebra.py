@@ -24,7 +24,7 @@ from gf2m import (
     trace,
 )
 from gf2m.algebra import _trace_matrix
-from gf2m.errors import DependentBasis, Gf2mError
+from gf2m.errors import DependentBasis, DimensionMismatch, Gf2mError
 
 # Exponents e with Tr(alpha^e) = 1 in GF(2^4) over x^4 + x + 1.
 GF16_TRACE_ONE = {3, 6, 9, 12, 7, 11, 13, 14}
@@ -214,6 +214,28 @@ def test_coordinate_maps_match_their_definitions(m):
         coords = normal_basis_coords(b)
         assert from_coords(nb, coords) == b
         assert coords == dual_basis_coords(b, nb)
+
+
+@pytest.mark.parametrize("coords, error", [
+    ((1,), DimensionMismatch),
+    ((), DimensionMismatch),
+    ((1, 0, 0, 0, 1), DimensionMismatch),
+    ((2, 0, 0, 0), Gf2mError),
+    ((0, -1, 0, 0), Gf2mError),
+    ((0, 0, 1.0, 0), Gf2mError),
+])
+def test_from_coords_rejects_malformed_coordinates(field4, coords, error):
+    with pytest.raises(error):
+        from_coords(normal_basis(field4), coords)
+
+
+def test_an_empty_basis_is_not_a_basis(field4):
+    with pytest.raises(DependentBasis):
+        from_coords((), ())
+    with pytest.raises(DependentBasis):
+        find_dual_basis(())
+    with pytest.raises(DependentBasis):
+        dual_basis_coords(field4.one, ())
 
 
 def test_coordinate_maps_keep_their_errors(field4):

@@ -141,10 +141,12 @@ def test_tables_over_non_registry_polynomials(terms):
     _check_tables(GF2m(poly.degree, poly))
 
 
-@pytest.mark.parametrize("m, count", [(9, 48), (10, 60)])
+@pytest.mark.parametrize("m, count", [
+    (2, 1), (3, 2), (4, 2), (5, 6), (6, 6), (7, 18), (8, 16), (9, 48), (10, 60),
+])
 def test_tables_over_every_primitive_polynomial(m, count):
-    # the first degrees past the 256-power seed: every tap pattern of phi
-    # goes through the first blocks of the build
+    # every tap pattern of phi goes through the first blocks of the build,
+    # which grow from x^0..x^(m-1) alone
     polys = [Gf2Poly(bits) for bits in range((1 << m) + 1, 2 << m, 2)
              if is_primitive(Gf2Poly(bits))]
     assert len(polys) == count
@@ -314,6 +316,12 @@ def test_pow_semantics(field4):
         field4.pow(field4.zero, 0)
     with pytest.raises(Gf2mError):
         field4.pow(a, -1)
+
+
+@pytest.mark.parametrize("e", [1.5, 3.0, "3", None, True, False])
+def test_alpha_exponent_must_be_an_int(field4, e):
+    with pytest.raises(Gf2mError):
+        field4.alpha(e)
 
 
 def test_fermat_property_small_fields():

@@ -55,7 +55,7 @@ def test_step_rejects_wrong_width():
 
 
 @pytest.mark.parametrize("feedback", ["internal", "external"])
-@pytest.mark.parametrize("state", [(2, 0, 0), (0, -1, 0), (1, 0, 0.5)])
+@pytest.mark.parametrize("state", [(2, 0, 0), (0, -1, 0), (1, 0, 0.5), (1.0, 0, 0)])
 def test_stages_must_be_bits(feedback, state):
     cfg = from_polynomial(Gf2Poly.parse("1011"), feedback)
     with pytest.raises(Gf2mError):
@@ -66,10 +66,12 @@ def test_stages_must_be_bits(feedback, state):
         state_sequence(cfg, state, 3)
 
 
-def test_step_masks_the_input_bit():
-    cfg = from_polynomial(Gf2Poly.parse("1011"))
-    assert step(cfg, (0, 0, 1), 3) == step(cfg, (0, 0, 1), 1)
-    assert step(cfg, (0, 0, 1), 2) == step(cfg, (0, 0, 1), 0)
+@pytest.mark.parametrize("feedback", ["internal", "external"])
+@pytest.mark.parametrize("bit", [2, 3, -1, 1.0, "1", None])
+def test_input_bit_must_be_a_bit(feedback, bit):
+    cfg = from_polynomial(Gf2Poly.parse("1011"), feedback)
+    with pytest.raises(Gf2mError):
+        step(cfg, (0, 0, 1), bit)
 
 
 def test_internal_step_spreads_feedback_into_taps():

@@ -158,6 +158,12 @@ def test_constant_power_range(field4):
         constant_mul_matrix(field4, -1)
 
 
+@pytest.mark.parametrize("power", [True, False, 1.5, 2.0, "3", None])
+def test_constant_power_must_be_an_int(field4, power):
+    with pytest.raises(Gf2mError):
+        constant_mul_matrix(field4, power)
+
+
 def test_gf16_xor_counts(field4):
     got = [xor_count(constant_mul_matrix(field4, i)) for i in range(15)]
     assert got == GF16_XOR_COUNTS
