@@ -75,8 +75,8 @@ print()
 
 prod, steps = serial_interleaved_multiply(a, b)
 print("serial interleaved product, accumulator per clock:")
-for k, p in enumerate(steps, start=1):
-    print(f"  clock {k}: {p.vector_str()}")
+for k, p in enumerate(steps, start=1):  # register words, bit i = alpha^i
+    print(f"  clock {k}: {format(p, '04b')}")
 print(f"final accumulator = {prod.vector_str()}")
 
 for mode in ("xor", "nand"):

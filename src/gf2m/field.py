@@ -14,9 +14,12 @@ alpha^k, so the next k - m + 1 powers (up to _CHUNK of them) are an XOR
 of slices of the table already filled (each coordinate of alpha^e is a
 linear recurring sequence with characteristic polynomial phi).  The log
 table, the inverse permutation, is scattered in once the antilog table
-is complete.  Memory grows as 2^m, 8 bytes per element: degrees are capped
-at MAX_DEGREE = 24, the registry's range, where the tables take 128 MiB
-and build in well under a second.
+is complete.  Both tables are native-dtype numpy arrays (uint32 antilog,
+int32 log); GF2m._exp indexes memoryviews of the same buffers, which
+return ints at about half the cost of ndarray.item.  Memory grows as 2^m,
+8 bytes per element: degrees are capped at MAX_DEGREE = 24, the
+registry's range, where the tables take 128 MiB and build in well under
+a second.
 
 Inside the library an element is its int bits.  The public methods check
 their FieldElement operands once, compute on ints (every table product
@@ -27,6 +30,8 @@ squaring orbits, walks in alpha-order and constant_xor_counts.  Every
 linear map (the matrices, the netlists, the trace, the dual basis) needs
 only m and phi.  A field is m and phi; the tables are built on their
 first read, so a field that only serves linear maps never builds them.
+A field pickles and copies as (m, phi) too: the copy builds its own
+tables when it needs them.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ class GF2m:
         self.order = 1 << m
         self._phi = prime_poly.bits
         self._memo: dict = {}  # data derived from the field, freed with it
-        self._tables = None  # (log, antilog), filled by _build_tables
+        self._tables = None  # (log, antilog, views), by _build_tables
 
     @property
     def log_table(self):
@@ -124,7 +129,7 @@ class GF2m:
         import numpy as np  # loaded by the first table read, not on import
         m, phi = self.m, self._phi
         n = self.order - 1
-        antilog = np.empty(n, dtype="<u4")  # the same bytes on every host
+        antilog = np.empty(n, dtype=np.uint32)
         antilog[:m] = [1 << j for j in range(m)]  # alpha^j = x^j for j < m
         k = m
         while k < n:
@@ -146,7 +151,7 @@ class GF2m:
             log[antilog[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
         antilog.flags.writeable = False
         log.flags.writeable = False
-        self._tables = log, antilog
+        self._tables = log, antilog, memoryview(log), memoryview(antilog)
         return self._tables
 
     # -- identity ---------------------------------------------------------
@@ -160,6 +165,10 @@ class GF2m:
 
     def __repr__(self) -> str:
         return f"GF2m({self.m}, Gf2Poly('{self.prime_poly.to_binary()}'))"
+
+    def __reduce__(self):
+        # a field is m and phi; the tables and the memo are a cache
+        return GF2m, (self.m, self.prime_poly)
 
     # -- element construction ---------------------------------------------
 
@@ -214,8 +223,8 @@ class GF2m:
         and 0 when a or b is 0 (callers rule out a = 0 with k <= 0)."""
         if not (a and b):
             return 0
-        log, antilog = self._tables or self._build_tables()
-        return antilog.item((k * log.item(a) + log.item(b)) % (self.order - 1))
+        _, _, log, antilog = self._tables or self._build_tables()
+        return antilog[(k * log[a] + log[b]) % (self.order - 1)]
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -3,10 +3,17 @@ artifacts, plus the bit-serial interleaved multiplier and its NAND rewrite.
 
 The product c = a*b is m bilinear forms, c_i summing the a_k * b_j where
 x^(j+k) mod phi has bit i set; symbolic_z_matrix and the general netlist
-read them.  Fixing a gives c = Z(a) . b, column j of Z being x^j * a mod phi;
-a = alpha^i gives a constant map (column j is alpha^(i+j)) and squaring is
-one more (column j is alpha^(2j)).  Each is a MastrovitoMatrix (field, rows,
-label), and emit_netlist emits any as XORs.
+read them.  Fixing a gives c = Z(a) . b, column j of Z being x^j * a mod phi.
+Z(a) is linear in a, Z(a) = sum over k of a_k * Z(x^k), and row i of
+Z(x^k) is the form row forms[i][k]; the m matrices Z(x^k) are packed once
+per field (in field._memo), so build_z_matrix is an XOR of packed ints.
+a = alpha^i gives a constant map, Z(alpha^i) (column j is alpha^(i+j)),
+and squaring is one more (column j is alpha^(2j)).  Each is a
+MastrovitoMatrix (field, rows, label), and emit_netlist emits any as XORs.
+
+serial_interleaved_multiply returns the product as a FieldElement and its
+per-clock accumulator trace as a tuple of m register words (ints, bit i
+the coefficient of alpha^i).
 
 Row i of a matrix reads directly as an output equation, e.g.
 "z0 = a0 + a1 + a2"; xor_count totals the "+" operators,
@@ -84,12 +91,36 @@ class MastrovitoMatrix:
         return tuple(j for j in range(self.m) if (self.rows[i] >> j) & 1)
 
 
+def _field_of(a: FieldElement) -> GF2m:
+    if not isinstance(a, FieldElement):
+        raise Gf2mError(f"expected a FieldElement, got {a!r}")
+    return a.field
+
+
 def build_z_matrix(a: FieldElement) -> MastrovitoMatrix:
     """Z(a), the matrix of b -> a*b: column j is x^j * a(x) mod phi(x)."""
-    m, phi = a.field.m, a.field._phi
-    cols = _x_multiples(a.bits, m, m, phi)
-    return MastrovitoMatrix(a.field, transpose(cols, m),
-                            f"multiplier by {a.bits:0{m}b}")
+    field = _field_of(a)
+    return MastrovitoMatrix(field, _z_rows(field, a.bits),
+                            f"multiplier by {a.bits:0{field.m}b}")
+
+
+def _z_rows(field: GF2m, a: int) -> tuple[int, ...]:
+    """The rows of Z(a) = sum over the set bits k of a of Z(x^k), each
+    Z(x^k) packed once per field with its rows m bits apart."""
+    m = field.m
+    basis = field._memo.get("z_basis")
+    if basis is None:
+        # row i of Z(x^k) has bit j = bit i of x^(j+k) mod phi: forms[i][k]
+        forms = _product_forms(field)
+        basis = field._memo["z_basis"] = tuple(
+            sum(form[k] << (i * m) for i, form in enumerate(forms))
+            for k in range(m))
+    packed = 0
+    for k in range(a.bit_length()):
+        if a >> k & 1:
+            packed ^= basis[k]
+    mask = (1 << m) - 1
+    return tuple([packed >> s & mask for s in range(0, m * m, m)])
 
 
 def _product_forms(field: GF2m) -> tuple[tuple[int, ...], ...]:
@@ -109,22 +140,24 @@ def symbolic_z_matrix(field: GF2m) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 def mat_vec_mul(z: MastrovitoMatrix, b: FieldElement) -> FieldElement:
     """c_i = GF(2) inner product of row i with b (AND then XOR-fold)."""
-    if z.m != b.field.m:
+    if not isinstance(z, MastrovitoMatrix):
+        raise Gf2mError(f"expected a MastrovitoMatrix, got {z!r}")
+    if z.m != _field_of(b).m:
         raise DimensionMismatch(f"{z.m}x{z.m} matrix against {b.field.m}-bit vector")
     z.field._same_field(b)
     return FieldElement(b.field, mul_vec(z.rows, b.bits))
 
 
 def constant_mul_matrix(field: GF2m, i: int) -> MastrovitoMatrix:
-    """Matrix of the map b -> alpha^i * b; column j = vector of alpha^(i+j),
-    which is x^(i+j) mod phi, so m and phi alone define it."""
-    m, n = field.m, field.order - 1
+    """Matrix of the map b -> alpha^i * b, that is Z(alpha^i): column j =
+    vector of alpha^(i+j), which is x^(i+j) mod phi, so m and phi alone
+    define it."""
+    n = field.order - 1
     if not isinstance(i, int) or isinstance(i, bool):
         raise Gf2mError(f"constant power must be an integer, got {i!r}")
     if not 0 <= i <= n - 1:
         raise Gf2mError(f"constant power {i} outside 0..{n - 1}")
-    cols = _x_multiples(_powmod(0b10, i, field._phi), m, m, field._phi)
-    return MastrovitoMatrix(field, transpose(cols, m),
+    return MastrovitoMatrix(field, _z_rows(field, _powmod(0b10, i, field._phi)),
                             f"constant multiplier alpha^{i}")
 
 
@@ -279,20 +312,22 @@ def _serial_mul_bits(m: int, phi: int, a: int, b: int,
 
 def serial_interleaved_multiply(a: FieldElement, b: FieldElement,
                                 mode: str = "xor"
-                                ) -> tuple[FieldElement, tuple[FieldElement, ...]]:
+                                ) -> tuple[FieldElement, tuple[int, ...]]:
     """MSB-first interleaved product over m steps, with the accumulator trace.
 
     Step k folds the top multiplier bit in: p <- (p*x mod phi) + b_{m-k}*a.
     In nand mode every XOR runs through the four-NAND identity; the result
-    must be bit-identical to xor mode.
+    must be bit-identical to xor mode.  The trace holds the accumulator
+    after each of the m clocks as a register word, bit i the coefficient
+    of alpha^i (as in lfsr.TraceRow.regs_after); only the product, the
+    last word, is wrapped as a FieldElement.
     """
-    a.field._same_field(b)
+    field = _field_of(a)
+    field._same_field(b)
     if mode not in ("xor", "nand"):
         raise Gf2mError(f"mode must be xor or nand, got {mode!r}")
-    field = a.field
-    bits, raw = _serial_mul_bits(field.m, field._phi, a.bits, b.bits, mode)
-    trace = tuple(FieldElement(field, r) for r in raw)
-    return FieldElement(field, bits), trace
+    bits, trace = _serial_mul_bits(field.m, field._phi, a.bits, b.bits, mode)
+    return FieldElement(field, bits), tuple(trace)
 
 
 # Published complexity rows for multipliers over the trinomial u^n + u^k + 1

@@ -13,13 +13,15 @@ degenerate sources (an all-zero matrix row yields a constant-0 output).
 OUTPUT ports form their own namespace, name each port once, and may
 reference any node.  Inputs, constants and gates share one node namespace.
 
-Simulation accepts 0/1 ints or numpy arrays of them per input, so a whole
-batch of assignments can be evaluated in one pass.
+Simulation accepts, per input, the int 0 or 1 or an integer or bool numpy
+array of 0s and 1s, so a whole batch of assignments can be evaluated in
+one pass; any other value raises Gf2mError rather than being read as bits.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping
 
@@ -95,7 +97,10 @@ class XorNetlist:
         for name in self.inputs:
             if name not in assignment:
                 raise Gf2mError(f"missing value for input {name!r}")
-            values[name] = assignment[name]
+            value = values[name] = assignment[name]
+            if not _is_bits(value):
+                raise Gf2mError(f"input {name!r} is {value!r}, not 0, 1 or "
+                                "an integer array of 0s and 1s")
         for c in self.consts:
             values[c.name] = c.value
         for g in self.gates:
@@ -157,6 +162,16 @@ class XorNetlist:
             "depth": self.depth,
             "counts": self.gate_counts(),
         }
+
+
+def _is_bits(value: object) -> bool:
+    """The int (or bool) 0 or 1, or an integer or bool numpy array of 0s
+    and 1s."""
+    if isinstance(value, int):
+        return value in (0, 1)
+    np = sys.modules.get("numpy")  # an array means numpy is loaded
+    return (np is not None and isinstance(value, np.ndarray)
+            and value.dtype.kind in "biu" and not (value >> 1).any())
 
 
 def _const_clash(name: str) -> str:

@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion."""
+"""Every script under demos/ runs to completion, and a demo with a golden
+transcript (tests/golden/demo_<name>.txt) prints exactly that."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN_DIR = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -19,3 +21,6 @@ def test_demo_runs(script):
     proc = subprocess.run([sys.executable, str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    golden = GOLDEN_DIR / f"demo_{script.stem}.txt"
+    if golden.exists():
+        assert proc.stdout == golden.read_text()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -170,6 +172,21 @@ def test_field_identity_and_hash(field4):
     assert hash(field4) == hash(GF2m(4))
     assert field4 != GF2m(4, Gf2Poly.parse("11001"))
     assert field4 != GF2m(3)
+
+
+def test_fields_and_elements_pickle_and_copy_after_a_table_read():
+    # the tables are read through memoryviews, which cannot be pickled; a
+    # field reduces to (m, phi) and its copy builds its own tables
+    field = GF2m(5, Gf2Poly.parse("x^5+x^3+1"))
+    a = field.alpha(7)
+    assert a * a == field.alpha(14)  # the tables are built
+    for clone in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
+        assert clone == field and clone is not field
+        assert clone.prime_poly == field.prime_poly
+        assert clone.alpha(7) * clone.alpha(7) == clone.alpha(14)
+    for clone in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert clone == a and clone.field == field
+        assert clone * clone == a * a and clone.inverse() == a.inverse()
 
 
 # -- representation tables ------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import fields_up_to
@@ -26,9 +27,10 @@ from gf2m import (
     xor_count,
     xor_count_estimate,
 )
-from gf2m.bitmatrix import mul_vec
+from gf2m.bitmatrix import mul_vec, transpose
 from gf2m.errors import DimensionMismatch, FieldMismatch, Gf2mError, UnsupportedTrinomial
 from gf2m.mastrovito import _product_forms
+from gf2m.polynomial import _powmod, _x_multiples, _xtime
 
 # Exact XOR counts of the GF(2^4) constant multipliers, index = exponent.
 GF16_XOR_COUNTS = [0, 1, 2, 3, 5, 5, 5, 6, 6, 8, 9, 8, 6, 3, 1]
@@ -51,6 +53,31 @@ def test_matrix_columns_are_shifted_reductions(field4):
     for j in range(4):
         col = sum(z.entry(i, j) << i for i in range(4))
         assert col == field4.alpha(5 + j).bits  # x^j * a mod phi
+
+
+def _z_oracle(field: GF2m, a: int) -> tuple[int, ...]:
+    """Z(a) by its definition: column j is x^j * a mod phi."""
+    return transpose(_x_multiples(a, field.m, field.m, field._phi), field.m)
+
+
+def test_z_matrix_from_the_basis_matches_its_columns():
+    # Z(a) is the sum of the per-field Z(x^k) over the set bits k of a
+    for field in fields_up_to(8):
+        for a in field.elements():
+            assert build_z_matrix(a).rows == _z_oracle(field, a.bits), (field, a)
+    for m in range(9, 25):
+        field = GF2m(m)
+        rng = np.random.default_rng(20250 + m)
+        for a in rng.integers(0, field.order, 2000).tolist():
+            assert build_z_matrix(field.element(a)).rows == _z_oracle(field, a), (m, a)
+
+
+def test_constant_matrices_are_z_of_alpha_powers():
+    for field in fields_up_to(8):
+        for i in range(field.order - 1):
+            z = constant_mul_matrix(field, i)
+            assert z.label == f"constant multiplier alpha^{i}"
+            assert z.rows == _z_oracle(field, _powmod(0b10, i, field._phi)), (field, i)
 
 
 def test_symbolic_matrix_specializes_to_every_element():
@@ -86,6 +113,21 @@ def test_mat_vec_dimension_checks(field3, field4):
     z = build_z_matrix(field4.alpha(3))
     with pytest.raises(DimensionMismatch):
         mat_vec_mul(z, field3.one)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: build_z_matrix(5),
+    lambda f: mat_vec_mul(build_z_matrix(f.alpha(3)), 3),
+    lambda f: mat_vec_mul(5, f.alpha(3)),
+    lambda f: mat_vec_mul(build_z_matrix(f.alpha(3)).rows, f.alpha(3)),
+    lambda f: serial_interleaved_multiply(3, f.alpha(3)),
+    lambda f: serial_interleaved_multiply(f.alpha(3), 3),
+    lambda f: serial_interleaved_multiply(None, f.alpha(3), "nand"),
+], ids=["z_of_int", "matvec_int_vector", "matvec_int_matrix",
+        "matvec_tuple_matrix", "serial_int_a", "serial_int_b", "serial_none_a"])
+def test_multiplication_entry_points_reject_non_elements(field4, call):
+    with pytest.raises(Gf2mError, match="expected a"):
+        call(field4)
 
 
 def test_squaring_matrix(field4):
@@ -288,7 +330,7 @@ def test_serial_multiply_exhaustive_m4(field4):
             pn, tn = serial_interleaved_multiply(a, b, "nand")
             assert px == a * b == pn
             assert tx == tn
-            assert len(tx) == 4 and tx[-1] == px
+            assert len(tx) == 4 and tx[-1] == px.bits
 
 
 def test_serial_trace_follows_the_recurrence(field4):
@@ -300,7 +342,26 @@ def test_serial_trace_follows_the_recurrence(field4):
         p = p * x
         if (b.bits >> (4 - k)) & 1:
             p = p + a
-        assert p == expected
+        assert p.bits == expected
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_serial_trace_is_the_register_words_of_the_recurrence(m):
+    field = GF2m(m)
+    phi = field._phi
+    rng = np.random.default_rng(4096 + m)
+    pairs = rng.integers(0, field.order, (200, 2)).tolist()
+    for abits, bbits in [(0, 0), (field.order - 1, field.order - 1), *pairs]:
+        a, b = field.element(abits), field.element(bbits)
+        want, p = [], 0
+        for k in range(1, m + 1):
+            p = _xtime(p, m, phi) ^ (abits if bbits >> (m - k) & 1 else 0)
+            want.append(p)
+        for mode in ("xor", "nand"):
+            product, trace = serial_interleaved_multiply(a, b, mode)
+            assert type(trace) is tuple and list(trace) == want, (m, a, b, mode)
+            assert all(type(w) is int and 0 <= w < field.order for w in trace)
+            assert trace[-1] == product.bits == field.mul_poly(a, b).bits
 
 
 def test_serial_rejects_bad_inputs(field3, field4):

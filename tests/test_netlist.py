@@ -137,6 +137,28 @@ def test_simulate_accepts_numpy_arrays():
     assert list(out) == [0, 1, 1, 0]
 
 
+@pytest.mark.parametrize("x", [
+    2, -1, 3, "1", 1.0, None, np.uint8(1),
+    np.array([0, 2], dtype=np.uint8), np.array([0, -1], dtype=np.int64),
+    np.array([0.0, 1.0]), np.array(["0", "1"]),
+], ids=["int2", "int-1", "int3", "str", "float", "none", "uint8_scalar",
+        "uint8_array_of_2", "int64_array_of_-1", "float_array", "str_array"])
+def test_simulate_rejects_values_that_are_not_bits(x):
+    # a NAND-mode XOR of 2 and 3 used to read 3, and an AND 2
+    nb = NetlistBuilder()
+    a, b = nb.add_input("x"), nb.add_input("y")
+    nb.output("xor", nb.xor2(a, b, "nand"))
+    nb.output("and", nb.gate("AND", a, b))
+    nl = nb.build()
+    with pytest.raises(Gf2mError, match="not 0, 1 or an integer array"):
+        nl.simulate({"x": x, "y": 1})
+    for y in (0, 1, True, np.array([1, 0], dtype=np.int8),
+              np.array([True, False])):
+        out = nl.simulate({"x": 1, "y": y})
+        assert np.array_equal(out["xor"], 1 ^ np.asarray(y, dtype=int))
+        assert np.array_equal(out["and"], np.asarray(y, dtype=int))
+
+
 def test_simulate_requires_every_input():
     nl = _xor_pair()
     with pytest.raises(Gf2mError):
