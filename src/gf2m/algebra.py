@@ -191,18 +191,14 @@ def normal_basis(field: GF2m,
     are linearly independent is used (alpha^3 for GF(2^4): alpha itself
     fails because its four conjugates sum to zero).
     """
-    return tuple(FieldElement(field, x) for x in _normal_bits(field, generator))
-
-
-def _normal_bits(field: GF2m, generator: FieldElement | None) -> tuple[int, ...]:
-    """The bits of normal_basis(field, generator), after checking generator."""
     if generator is None:
-        return _default_normal_orbit(field)
-    field._same_field(generator)
-    orbit = tuple(_orbit(field, generator.bits))
-    if _coords_matrix(field, orbit) is None:
-        raise DependentBasis(f"conjugates of {generator!r} do not form a basis")
-    return orbit
+        orbit = _default_normal_orbit(field)
+    else:
+        field._same_field(generator)
+        orbit = tuple(_orbit(field, generator.bits))
+        if _coords_matrix(field, orbit) is None:
+            raise DependentBasis(f"conjugates of {generator!r} do not form a basis")
+    return tuple(FieldElement(field, x) for x in orbit)
 
 
 @_per_field
@@ -217,9 +213,7 @@ def _default_normal_orbit(field: GF2m) -> tuple[int, ...]:
 def normal_basis_coords(b: FieldElement,
                         generator: FieldElement | None = None) -> tuple[int, ...]:
     """Coordinates of b over the normal basis of its field."""
-    field = b.field
-    inv = _coords_matrix(field, _normal_bits(field, generator))
-    return bitmatrix.unpack(bitmatrix.mul_vec(inv, b.bits), field.m)
+    return dual_basis_coords(b, normal_basis(b.field, generator))
 
 
 def from_coords(basis: Sequence[FieldElement],
@@ -247,22 +241,28 @@ class BasisTriple:
     normal: tuple[int, ...]
 
 
-def _triple(field: GF2m, bits: int) -> BasisTriple:
-    m = field.m
-    normal = _coords_matrix(field, _default_normal_orbit(field))
-    return BasisTriple(
-        standard=bitmatrix.unpack(bits, m),
-        dual=bitmatrix.unpack(bitmatrix.mul_vec(_trace_matrix(field), bits), m),
-        normal=bitmatrix.unpack(bitmatrix.mul_vec(normal, bits), m),
-    )
+@_per_field
+def _table_bases(field: GF2m) -> tuple[tuple[FieldElement, ...], ...]:
+    """The standard basis alpha^0..alpha^(m-1), its dual, and normal_basis."""
+    std = tuple(FieldElement(field, 1 << k) for k in range(field.m))
+    return std, find_dual_basis(std), normal_basis(field)
 
 
 def basis_triple(b: FieldElement) -> BasisTriple:
-    return _triple(b.field, b.bits)
+    return BasisTriple(*map(dual_basis_coords, [b] * 3, _table_bases(b.field)))
 
 
 def basis_table(field: GF2m) -> list[tuple[str, BasisTriple]]:
-    """Rows (power label, triple) for 0 and every power of alpha."""
-    return [("-", _triple(field, 0))] + [
-        (str(e), _triple(field, bits))
-        for e, bits in enumerate(field.antilog_table.tolist())]
+    """Rows (power label, triple) for 0 and every power of alpha.
+
+    Coordinate k of alpha^e over a basis is Tr(alpha^e * mu_k), mu the
+    dual basis; with mu_k = alpha^s that is t[(e + s) mod (2^m - 1)] of the
+    trace sequence t[e] = Tr(alpha^e), so each column is a rotation of t.
+    """
+    mask, log = _trace_matrix(field)[0], field.log_table.item
+    t = [(x & mask).bit_count() & 1 for x in field.antilog_table.tolist()]
+    shifts = [[log(mu.bits) for mu in find_dual_basis(basis)]
+              for basis in _table_bases(field)]
+    columns = [zip(*(t[s:] + t[:s] for s in ks)) for ks in shifts]
+    return [("-", BasisTriple(*[(0,) * field.m] * 3))] + [
+        (str(e), BasisTriple(*row)) for e, row in enumerate(zip(*columns))]

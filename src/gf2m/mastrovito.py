@@ -34,9 +34,10 @@ from .errors import (
     Gf2mError,
     NotIrreducible,
     NotPrimitive,
+    UnsupportedDegree,
     UnsupportedTrinomial,
 )
-from .field import GF2m, FieldElement
+from .field import MAX_DEGREE, GF2m, FieldElement
 from .netlist import NetlistBuilder, XorNetlist
 from .polynomial import Gf2Poly, _powmod, _x_multiples
 
@@ -319,8 +320,8 @@ def serial_interleaved_multiply(a: FieldElement, b: FieldElement,
     In nand mode every XOR runs through the four-NAND identity; the result
     must be bit-identical to xor mode.  The trace holds the accumulator
     after each of the m clocks as a register word, bit i the coefficient
-    of alpha^i (as in lfsr.TraceRow.regs_after); only the product, the
-    last word, is wrapped as a FieldElement.
+    of alpha^i (stage i of the register, as in lfsr's int register); only
+    the product, the last word, is wrapped as a FieldElement.
     """
     field = _field_of(a)
     field._same_field(b)
@@ -386,6 +387,9 @@ def complexity_report(m: int, k: int) -> ComplexityReport:
     if not 2 < 2 * k < m:
         raise UnsupportedTrinomial(
             f"published rows require 2 < 2k < m; k={k}, m={m} falls outside")
+    if m > MAX_DEGREE:  # before x^m is built: m may be far too large for it
+        raise UnsupportedDegree(
+            f"m must be an integer in 2..{MAX_DEGREE}, got {m}")
     tri = Gf2Poly((1 << m) | (1 << k) | 1)
     try:
         field = GF2m(m, tri)

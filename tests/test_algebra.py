@@ -324,7 +324,18 @@ def test_basis_table_tail_rows(field4):
     assert zero.standard == zero.dual == zero.normal == (0, 0, 0, 0)
 
 
-@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("m", range(2, 13))
+def test_basis_triple_is_the_basis_table_row(m):
+    # the table rotates one trace sequence per column; basis_triple applies
+    # one coordinate map per basis
+    field = GF2m(m)
+    table = basis_table(field)
+    assert table[0] == ("-", basis_triple(field.zero))
+    for e, row in enumerate(table[1:]):
+        assert row == (str(e), basis_triple(field.alpha(e))), (m, e)
+
+
+@pytest.mark.parametrize("m", [*range(2, 9), 12])
 def test_basis_table_rows_are_consistent_with_reconstruction(m):
     field = GF2m(m)
     std = _standard_basis(field)

@@ -320,6 +320,13 @@ def test_mastrovito_needs_a_only_for_the_matrix(capsys):
                  "--emit", "netlist"]) == 2
 
 
+def test_report_gates_past_the_degree_cap_exits_2(capsys):
+    # x^m + x^k + 1 for this m would be a 128 GiB int
+    assert main(["report", "gates", "--m", "1099511627776", "--k", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+
+
 @pytest.mark.parametrize("args", [
     ["mastrovito", "--m", "24", "--emit", "netlist", "--format", "json"],
     ["mastrovito", "--m", "20", "--a", "10110011100011110000",

@@ -371,29 +371,30 @@ def test_serial_rejects_bad_inputs(field3, field4):
         serial_interleaved_multiply(field4.one, field4.one, "nor")
 
 
-def test_serial_step_netlists_match_the_recurrence(field4):
-    step_x = emit_netlist(SerialStepSpec(field4, "xor"))
-    step_n = emit_netlist(SerialStepSpec(field4, "nand"))
+@pytest.mark.parametrize("m", range(2, 25))
+def test_serial_step_netlists_match_the_recurrence(m):
+    field = GF2m(m)
+    step_x = emit_netlist(SerialStepSpec(field, "xor"))
+    step_n = emit_netlist(SerialStepSpec(field, "nand"))
     cx, cn = step_x.gate_counts(), step_n.gate_counts()
     assert cx["NAND"] == 0
     assert cn["XOR"] == 0
     assert cn["NAND"] == 4 * cx["XOR"]  # each XOR unfolds into 4 NANDs
-    assert cn["AND"] == cx["AND"] == 4
-    phi = field4.prime_poly.bits
-    for pbits in range(16):
-        for abits in range(16):
-            for bbit in (0, 1):
-                vals = {f"p_{i}": (pbits >> i) & 1 for i in range(4)}
-                vals |= {f"a_{i}": (abits >> i) & 1 for i in range(4)}
-                vals["b"] = bbit
-                shifted = pbits << 1
-                if shifted & 16:
-                    shifted ^= phi
-                want = shifted ^ (abits if bbit else 0)
-                for nl in (step_x, step_n):
-                    out = nl.simulate(vals)
-                    got = sum(out[f"p_{i}"] << i for i in range(4))
-                    assert got == want
+    assert cn["AND"] == cx["AND"] == m
+    if m <= 4:  # every (p, a, b)
+        cases = np.indices((1 << m, 1 << m, 2)).reshape(3, -1).T
+    else:  # a seeded batch; a step that drops a phi tap fails half of it
+        cases = np.random.default_rng(8192 + m).integers(0, 1 << m, (1000, 3))
+        cases[:, 2] &= 1
+    p, a, b = cases.T
+    vals = {"b": b} | {f"p_{i}": p >> i & 1 for i in range(m)}
+    vals |= {f"a_{i}": a >> i & 1 for i in range(m)}
+    want = [_xtime(pb, m, field._phi) ^ (ab if bb else 0)
+            for pb, ab, bb in cases.tolist()]
+    for nl in (step_x, step_n):
+        out = nl.simulate(vals)
+        got = sum(out[f"p_{i}"] << i for i in range(m))
+        assert got.tolist() == want, (m, nl.label)
 
 
 def test_serial_step_spec_mode_validation(field4):
