@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import bitmatrix
 from .errors import DependentBasis, DimensionMismatch, Gf2mError
-from .field import GF2m, FieldElement
+from .field import GF2m, FieldElement, _per_field
 from .polynomial import Gf2Poly, _x_multiples
 
 __all__ = [
@@ -101,17 +101,6 @@ def trace(b: FieldElement) -> int:
 
 
 # -- coordinate systems -------------------------------------------------------
-
-def _per_field(fn):
-    """Memoize fn(field, *args) in the field itself, so that it is freed
-    with the field; a call that raises stores nothing."""
-    def cached(field: GF2m, *args):
-        key = (fn, *args)
-        if key not in field._memo:
-            field._memo[key] = fn(field, *args)
-        return field._memo[key]
-    return cached
-
 
 @_per_field
 def _coords_matrix(field: GF2m, basis: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -258,11 +247,14 @@ def basis_table(field: GF2m) -> list[tuple[str, BasisTriple]]:
     Coordinate k of alpha^e over a basis is Tr(alpha^e * mu_k), mu the
     dual basis; with mu_k = alpha^s that is t[(e + s) mod (2^m - 1)] of the
     trace sequence t[e] = Tr(alpha^e), so each column is a rotation of t.
+    The standard basis and its dual are each other's dual, so only the
+    normal basis's dual is solved here.
     """
     mask, log = _trace_matrix(field)[0], field.log_table.item
     t = [(x & mask).bit_count() & 1 for x in field.antilog_table.tolist()]
-    shifts = [[log(mu.bits) for mu in find_dual_basis(basis)]
-              for basis in _table_bases(field)]
+    std, dual, normal = _table_bases(field)
+    shifts = [[log(mu.bits) for mu in duals]
+              for duals in (dual, std, find_dual_basis(normal))]
     columns = [zip(*(t[s:] + t[:s] for s in ks)) for ks in shifts]
     return [("-", BasisTriple(*[(0,) * field.m] * 3))] + [
         (str(e), BasisTriple(*row)) for e, row in enumerate(zip(*columns))]

@@ -5,46 +5,15 @@ Vectors are ints too, bit i holding coordinate i.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Sequence
 
 __all__ = ["transpose", "mul_vec", "inverse", "unpack"]
 
 
 def transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
-    """The n rows of the transpose, n being the column count of `rows`.
-
-    Warren's block swap (Hacker's Delight, section 7-3): the rows are
-    packed into one int as an s x s matrix, s the least power of two that
-    covers both dimensions, and round k swaps bit k of every entry's row
-    index with bit k of its column index, that is the two off-diagonal
-    k x k blocks of every 2k x 2k block, with one masked delta swap.
-    """
-    s = 1 << (max(len(rows), n, 1) - 1).bit_length()
-    cols = (1 << n) - 1
-    x = 0
-    for i, row in enumerate(rows):
-        x |= (row & cols) << (i * s)
-    for shift, mask in _swap_masks(s):
-        t = (x ^ (x >> shift)) & mask
-        x ^= t ^ (t << shift)
-    keep = (1 << len(rows)) - 1
-    return tuple((x >> (i * s)) & keep for i in range(n))
-
-
-@cache
-def _swap_masks(s: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) per round of an s x s transpose: the mask picks the
-    entries (i, j) with bit k clear in i and set in j, whose partners
-    (i + k, j - k) sit k(s - 1) bits higher."""
-    rounds = []
-    k = s >> 1
-    while k:
-        row = sum(1 << j for j in range(s) if j & k)
-        rounds.append((k * (s - 1), sum(row << (i * s)
-                                        for i in range(s) if not i & k)))
-        k >>= 1
-    return tuple(rounds)
+    """The n rows of the transpose, n being the column count of `rows`."""
+    return tuple(sum((row >> j & 1) << i for i, row in enumerate(rows))
+                 for j in range(n))
 
 
 def mul_vec(rows: Sequence[int], v: int) -> int:

@@ -226,6 +226,7 @@ def cmd_minpolys(args: argparse.Namespace) -> Emit:
 
 def cmd_bases(args: argparse.Namespace) -> Emit:
     field = _make_field(args.m)
+    _, dual, normal = algebra._table_bases(field)
     powers = [PowerForm.ZERO] + [PowerForm(e) for e in range(field.order - 1)]
     rows = [(str(power),
              "".join(map(str, t.standard)),
@@ -234,9 +235,8 @@ def cmd_bases(args: argparse.Namespace) -> Emit:
             for power, (_, t) in zip(powers, algebra.basis_table(field))]
     return _render(args.format, lambda: {
         "m": field.m,
-        "dual_basis": [e.vector_str() for e in algebra.find_dual_basis(
-            [field.alpha(k) for k in range(field.m)])],
-        "normal_basis": [str(e.power) for e in algebra.normal_basis(field)],
+        "dual_basis": [e.vector_str() for e in dual],
+        "normal_basis": [str(e.power) for e in normal],
         "rows": [{"power": p, "standard": s, "dual": d, "normal": n}
                  for p, s, d, n in rows],
     }, ["power", "standard", "dual", "normal"], rows)
@@ -295,9 +295,10 @@ def cmd_lfsr_divide(args: argparse.Namespace) -> Emit:
     remainder, trace = lfsr_mod.divide(p, g)
     d = g.bits.bit_length() - 1
     headers = ["clock", "input"] + [f"X{i}" for i in range(d)]
-    rows = [["0", "-"] + ["0"] * d]
-    rows += [[str(r.clock), str(r.input_bit)] + [str(b) for b in r.regs_after]
-             for r in trace]
+    # formatted only by the one format that writes them: csv or --trace table
+    rows = chain([["0", "-"] + ["0"] * d], (
+        [str(r.clock), "01"[r.input_bit]] + ["01"[b] for b in r.regs_after]
+        for r in trace))
     remainder_line = (f"remainder = {remainder.to_binary()} "
                       f"({remainder.to_terms('X')})\n")
     # --format json wins; otherwise --trace csv|table overrides --format

@@ -99,8 +99,9 @@ class GF2m:
         if prime_poly is None:
             prime_poly = primitive_poly(m)
         if prime_poly.degree != m:
-            raise Gf2mError(
-                f"defining polynomial has degree {prime_poly.degree}, expected {m}")
+            got = (f"has degree {prime_poly.degree}" if prime_poly
+                   else "is the zero polynomial")
+            raise Gf2mError(f"defining polynomial {got}, expected degree {m}")
         if not is_primitive(prime_poly):
             # trial division only names the failure
             if not is_irreducible(prime_poly):
@@ -112,7 +113,7 @@ class GF2m:
         self.prime_poly = prime_poly
         self.order = 1 << m
         self._phi = prime_poly.bits
-        self._memo: dict = {}  # data derived from the field, freed with it
+        self._memo: dict = {}  # _per_field's results, freed with the field
         self._tables = None  # (log, antilog, views), by _build_tables
 
     @property
@@ -339,6 +340,19 @@ class GF2m:
                 yield (f"α^{k}",
                        f"{high} + {rest}" if high and rest else high or rest,
                        format(bits, vector))
+
+
+def _per_field(fn):
+    """Memoize fn(field, *args) in field._memo, so that it is freed with
+    the field; a call that raises stores nothing."""
+    def cached(field: GF2m, *args):
+        key = (fn, *args)
+        try:
+            return field._memo[key]
+        except KeyError:
+            value = field._memo[key] = fn(field, *args)
+            return value
+    return cached
 
 
 def _poly_text(bits: int) -> str:

@@ -5,11 +5,12 @@ The product c = a*b is m bilinear forms, c_i summing the a_k * b_j where
 x^(j+k) mod phi has bit i set; symbolic_z_matrix and the general netlist
 read them.  Fixing a gives c = Z(a) . b, column j of Z being x^j * a mod phi.
 Z(a) is linear in a, Z(a) = sum over k of a_k * Z(x^k), and row i of
-Z(x^k) is the form row forms[i][k]; the m matrices Z(x^k) are packed once
-per field (in field._memo), so build_z_matrix is an XOR of packed ints.
-a = alpha^i gives a constant map, Z(alpha^i) (column j is alpha^(i+j)),
-and squaring is one more (column j is alpha^(2j)).  Each is a
-MastrovitoMatrix (field, rows, label), and emit_netlist emits any as XORs.
+Z(x^k) is the form row forms[i][k]; the forms and the packed Z(x^k) are
+built once per field, memoized in it by field._per_field, so build_z_matrix
+is an XOR of packed ints.  a = alpha^i gives a constant map, Z(alpha^i)
+(column j is alpha^(i+j)), and squaring is one more, read off the forms'
+diagonals (column j is alpha^(2j)).  Each is a MastrovitoMatrix (field,
+rows, label), and emit_netlist emits any as XORs.
 
 serial_interleaved_multiply returns the product as a FieldElement and its
 per-clock accumulator trace as a tuple of m register words (ints, bit i
@@ -37,7 +38,7 @@ from .errors import (
     UnsupportedDegree,
     UnsupportedTrinomial,
 )
-from .field import MAX_DEGREE, GF2m, FieldElement
+from .field import MAX_DEGREE, GF2m, FieldElement, _per_field
 from .netlist import NetlistBuilder, XorNetlist
 from .polynomial import Gf2Poly, _powmod, _x_multiples
 
@@ -106,16 +107,8 @@ def build_z_matrix(a: FieldElement) -> MastrovitoMatrix:
 
 
 def _z_rows(field: GF2m, a: int) -> tuple[int, ...]:
-    """The rows of Z(a) = sum over the set bits k of a of Z(x^k), each
-    Z(x^k) packed once per field with its rows m bits apart."""
-    m = field.m
-    basis = field._memo.get("z_basis")
-    if basis is None:
-        # row i of Z(x^k) has bit j = bit i of x^(j+k) mod phi: forms[i][k]
-        forms = _product_forms(field)
-        basis = field._memo["z_basis"] = tuple(
-            sum(form[k] << (i * m) for i, form in enumerate(forms))
-            for k in range(m))
+    """The rows of Z(a): the XOR of the packed Z(x^k) over the set bits k."""
+    m, basis = field.m, _z_basis(field)
     packed = 0
     for k in range(a.bit_length()):
         if a >> k & 1:
@@ -124,6 +117,16 @@ def _z_rows(field: GF2m, a: int) -> tuple[int, ...]:
     return tuple([packed >> s & mask for s in range(0, m * m, m)])
 
 
+@_per_field
+def _z_basis(field: GF2m) -> tuple[int, ...]:
+    """Z(x^k) for k < m, its rows packed m bits apart: row i of Z(x^k) has
+    bit j = bit i of x^(j+k) mod phi, which is the form row forms[i][k]."""
+    m, forms = field.m, _product_forms(field)
+    return tuple(sum(form[k] << (i * m) for i, form in enumerate(forms))
+                 for k in range(m))
+
+
+@_per_field
 def _product_forms(field: GF2m) -> tuple[tuple[int, ...], ...]:
     """forms[i][k] has bit j = bit i of x^(j+k) mod phi, so that
     c_i = sum over k of a_k * parity(forms[i][k] & b)."""
@@ -163,11 +166,12 @@ def constant_mul_matrix(field: GF2m, i: int) -> MastrovitoMatrix:
 
 
 def squaring_matrix(field: GF2m) -> MastrovitoMatrix:
-    """Matrix of the squaring map; column j = vector of alpha^(2j), which
-    is x^(2j) mod phi, so m and phi alone define it."""
-    m = field.m
-    cols = _x_multiples(1, 2 * m - 1, m, field._phi)[::2]
-    return MastrovitoMatrix(field, transpose(cols, m), "squaring map")
+    """Matrix of the squaring map: the cross terms of (sum a_k x^k)^2 cancel
+    in pairs, so entry (i, k) is bit i of x^(2k) mod phi, the diagonal bit
+    k of the form row forms[i][k]."""
+    return MastrovitoMatrix(field, tuple(
+        sum((form[k] >> k & 1) << k for k in range(field.m))
+        for form in _product_forms(field)), "squaring map")
 
 
 def constant_equations(field: GF2m, i: int) -> list[str]:

@@ -265,6 +265,23 @@ def test_field_table_is_never_held_whole(monkeypatch, m, fmt, size):
     assert peak < 8 << 20, peak
 
 
+def test_lfsr_divide_formats_no_trace_row_it_does_not_write(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        status = main(["lfsr", "divide", "--g", "x^512+1", "--p", "x^2000+1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    # x^2000 = x^(2000 - 3 * 512) mod x^512 + 1
+    assert out.getvalue() == f"remainder = 1{'0' * 463}1 (X^464+1)\n"
+    # 65 MiB with every clock's row formatted as strings; the 2001 register
+    # tuples of lfsr.divide itself take about 8 MiB
+    assert peak < 16 << 20, peak
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize("lines", [0, 1])
 def test_a_reader_that_closes_the_pipe_early_ends_a_clean_run(fmt, lines):
@@ -387,6 +404,7 @@ def test_code_analyze_takes_k_from_the_words(cli):
     ["field", "table", "--m", "4", "--poly", "0x1_3"],
     ["field", "table", "--m", "4", "--poly", "x^\uff14+x+1"],
     ["field", "table", "--m", "3", "--poly", ""],
+    ["field", "table", "--m", "4", "--poly", "0"],
 ])
 def test_validation_errors_exit_2(cli, args):
     proc = cli(*args, expect=2)

@@ -45,8 +45,11 @@ def test_rejects_out_of_range_degree():
 
 
 def test_rejects_wrong_degree_polynomial(field4):
-    with pytest.raises(Gf2mError):
+    with pytest.raises(Gf2mError, match="has degree 3, expected degree 4"):
         GF2m(4, Gf2Poly.parse("1011"))
+    # the zero polynomial has no degree: it is named, not given degree None
+    with pytest.raises(Gf2mError, match="is the zero polynomial, expected degree 4"):
+        GF2m(4, Gf2Poly.parse("0"))
 
 
 def test_rejects_reducible_polynomial():

@@ -130,11 +130,21 @@ def test_multiplication_entry_points_reject_non_elements(field4, call):
         call(field4)
 
 
-def test_squaring_matrix(field4):
-    sq = squaring_matrix(field4)
-    assert sq.label == "squaring map"
-    for a in field4.elements():
-        assert mat_vec_mul(sq, a) == a.square()
+def test_squaring_matrix():
+    # every element for m <= 8, then 2000 seeded elements per m = 9..24
+    def check(field, elements):
+        sq = squaring_matrix(field)
+        assert sq.label == "squaring map"
+        for a in elements:
+            assert mat_vec_mul(sq, a) == field.mul_poly(a, a), (field, a)
+
+    for field in fields_up_to(8):
+        check(field, field.elements())
+    for m in range(9, 25):
+        field = GF2m(m)
+        rng = np.random.default_rng(31337 + m)
+        check(field, map(field.element,
+                         rng.integers(0, field.order, 2000).tolist()))
 
 
 # -- constant multipliers -----------------------------------------------------------
