@@ -1,6 +1,10 @@
 """Structure-level algebra on GF(2^m): conjugates, minimal polynomials,
 roots, trace, and the dual/normal coordinate systems.
 
+A minimal polynomial is read as the first GF(2)-linear dependency among
+the powers 1, b, b^2, ..., by elimination on packed ints, not by
+expanding the product of (X + c) over b's conjugacy class.
+
 Coordinate vectors produced here are tuples in basis order (coefficient of
 basis element 0 first).  The dual basis of a given basis {lambda_k} is the
 unique {mu_j} with Tr(lambda_i * mu_j) = 1 exactly when i = j; it is found
@@ -61,23 +65,35 @@ def conjugacy_class(b: FieldElement) -> ConjugacyClass:
 
 
 def minimal_polynomial(b: FieldElement) -> Gf2Poly:
-    """Least-degree GF(2) polynomial with b as a root.
+    """Least-degree GF(2) polynomial with b as a root; 0 maps to X.
 
-    Expands the product of (X + c) over the conjugacy class of b with
-    in-field coefficient arithmetic; the cross terms cancel so every
-    coefficient collapses to 0 or 1.  The zero element maps to X.
+    It is the first GF(2)-linear dependency among the powers 1, b, b^2, ...
+    (Lidl & Niederreiter, *Finite Fields*, ch. 2-3).  Each power is reduced
+    by leading bit against the earlier ones, kept in echelon form, and bit
+    m + j of a row records that b^j is in its sum.  The first power b^d
+    that reduces to 0 is the sum of the powers its row records, so the row
+    above bit m is X^d plus that sum: d products and O(d^2) int XORs,
+    where expanding the product of (X + c) over the class takes O(d^2)
+    products.
     """
-    field = b.field
-    # coeffs[i] = coefficient of X^i, as element bits during expansion;
-    # multiplying by (X + root) makes it coeffs[i - 1] + root * coeffs[i]
-    coeffs = [1]
-    for root in _orbit(field, b.bits):
-        coeffs = [hi ^ field._exp(root, 1, lo)
-                  for hi, lo in zip([0, *coeffs], [*coeffs, 0])]
-    if any(c > 1 for c in coeffs):
-        raise AssertionError(f"minimal polynomial coefficients {coeffs} "
-                             "not all in GF(2)")
-    return Gf2Poly(sum(c << i for i, c in enumerate(coeffs)))
+    field, m = b.field, b.field.m
+    mask = (1 << m) - 1
+    pivots = [0] * m  # pivots[j] is the row with leading bit j, 0 if none
+    power = 1
+    for d in range(m + 1):  # m + 1 powers in m dimensions are dependent
+        row = power | 1 << (m + d)
+        while (low := row & mask) and (pivot := pivots[low.bit_length() - 1]):
+            row ^= pivot
+        if not low:
+            break
+        pivots[low.bit_length() - 1] = row
+        power = field._exp(power, 1, b.bits)
+    # the least dependency has degree at most the class size; b^(2^d) = b
+    # says the class size divides d, so d is the class size
+    if field._exp(b.bits, 1 << d) != b.bits:
+        raise AssertionError(f"b^(2^{d}) != b for the degree-{d} "
+                             "minimal polynomial")
+    return Gf2Poly(row >> m)
 
 
 def roots_in_field(f: Gf2Poly, field: GF2m) -> set[FieldElement]:

@@ -198,23 +198,23 @@ def cmd_minpolys(args: argparse.Namespace) -> Emit:
     field = _make_field(args.m)
     n = field.order - 1
 
-    def row(powers, b):
+    def row(labels, b):
         mp = algebra.minimal_polynomial(b)
-        return ([str(power) for power in powers],
-                mp.to_terms("X", ascending=True, spaced=True), mp.to_binary())
+        return (labels, mp.to_terms("X", ascending=True, spaced=True),
+                mp.to_binary())
 
-    classes = [row([PowerForm.ZERO], field.zero)]
-    seen: set[int] = set()
+    classes = [row([str(PowerForm.ZERO)], field.zero)]
+    seen = bytearray(n)
     for e in range(n):
-        if e in seen:
+        if seen[e]:
             continue
         # the class of alpha^e is its exponent orbit e * 2^k mod n
         orbit = [e]
         while (k := 2 * orbit[-1] % n) != e:
             orbit.append(k)
-        seen.update(orbit)
-        classes.append(row([PowerForm(k) for k in sorted(orbit)],
-                           field.alpha(e)))
+        for k in orbit:
+            seen[k] = 1
+        classes.append(row([f"α^{k}" for k in sorted(orbit)], field.alpha(e)))
     return _render(args.format, lambda: {
         "m": field.m,
         "classes": [{"elements": labels, "minimal_polynomial": terms,

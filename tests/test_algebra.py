@@ -105,6 +105,47 @@ def test_minimal_polynomial_is_irreducible_with_gf2_coefficients(field4):
             assert mp.degree in (1, 2, 4)
 
 
+def _classes(field):
+    """(representative, class size) for 0 and for each class of nonzero
+    elements, from the exponent orbits e * 2^k mod 2^m - 1."""
+    n = field.order - 1
+    seen = bytearray(n)
+    yield field.zero, 1
+    for e in range(n):
+        size, k = 0, e
+        while not seen[k]:
+            seen[k] = 1
+            size, k = size + 1, 2 * k % n
+        if size:
+            yield field.alpha(e), size
+
+
+def _expanded_minimal_polynomial(b):
+    """The product of (X + c) over b's conjugacy class, expanded with field
+    coefficients that must all collapse to 0 or 1."""
+    coeffs = [b.field.one]  # coeffs[i] is the coefficient of X^i
+    for root in conjugacy_class(b).members:
+        coeffs = [hi + root * lo for hi, lo in
+                  zip([b.field.zero, *coeffs], [*coeffs, b.field.zero])]
+    assert all(c.bits <= 1 for c in coeffs)
+    return Gf2Poly(sum(c.bits << i for i, c in enumerate(coeffs)))
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_minimal_polynomial_of_every_class(m):
+    """The degrees are the class sizes, the product over all classes is
+    X^(2^m) + X, and for m <= 10 each matches the expanded product."""
+    field = GF2m(m)
+    product = Gf2Poly(1)
+    for b, size in _classes(field):
+        mp = minimal_polynomial(b)
+        assert mp.degree == size, b
+        if m <= 10:
+            assert mp == _expanded_minimal_polynomial(b), b
+        product = product * mp
+    assert product == Gf2Poly(1 << field.order | 0b10)
+
+
 def test_gf8_minimal_polynomials(field3):
     assert minimal_polynomial(field3.alpha(1)) == Gf2Poly.parse("1011")
     assert minimal_polynomial(field3.alpha(3)) == Gf2Poly.parse("1101")
