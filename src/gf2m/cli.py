@@ -19,7 +19,10 @@ format.  It returns an emitter, which ``main`` runs on ``sys.stdout.write``:
 json writes a document built on demand, csv a header row and grid rows, and
 table the grid or, where the command has one, its own text (netlists have no
 csv form).  The renderers write as they format, a chunk of rows at a time,
-so no command holds its whole output.  Exit codes: 0 success (also when the
+so no command holds its whole output.  A JSON list of dicts with the same
+keys is a record list (`_Records`): the keys and one row of values per
+dict, often the rows csv and table print, rendered through one frame per
+key set and no dict per row.  Exit codes: 0 success (also when the
 reader closes the pipe early), 2 invalid input, 3 internal invariant breach.
 """
 
@@ -32,7 +35,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 from . import algebra, code_metrics, mastrovito
 from . import lfsr as lfsr_mod
@@ -78,6 +81,19 @@ _encode_str = json.encoder.encode_basestring
 _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 
+class _Records:
+    """A JSON list of dicts that all have `keys`, in that order: each of
+    `rows` holds one dict's values.  `render_json` writes it as
+    ``[dict(zip(keys, row)) for row in rows]`` and builds no dict."""
+
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys: Sequence[str], rows: Iterable[Sequence[object]]):
+        if len(set(keys)) != len(keys):
+            raise ValueError(f"record keys repeat: {keys!r}")
+        self.keys, self.rows = tuple(keys), rows
+
+
 class _KeyPrefixes(dict):
     """The encoded `"key": ` of each dict key, made once per document."""
 
@@ -89,15 +105,32 @@ class _KeyPrefixes(dict):
 def render_json(obj: object, write: Write) -> None:
     """Write ``json.dumps(obj, indent=2, ensure_ascii=False)`` plus a newline.
 
-    An iterator renders as a list.  The document's dicts are written
-    member by member and its lists _CHUNK members per write, as they are
-    consumed, so a generator of rows is never held whole.  Each list member
-    is one join of its own members' strings, and strings and scalars go
-    through ``json``'s C encoders (with an indent, ``json`` itself encodes
-    through its pure-Python generator).  Every dict key must be a str, as
-    in every document the CLI builds; any other raises TypeError.
+    An iterator renders as a list, and a `_Records` as its list of dicts.
+    The document's dicts are written member by member and its lists
+    _CHUNK members per write, as they are consumed, so a generator of rows
+    is never held whole.  Each list member is one join of its own members'
+    strings, and each record one ``%`` of the frame made once for its keys
+    and depth; strings and scalars go through ``json``'s C encoders (with
+    an indent, ``json`` itself encodes through its pure-Python generator).
+    Every dict key must be a str, as in every document the CLI builds; any
+    other raises TypeError, as does a record row of the wrong length.
     """
     prefixes = _KeyPrefixes()
+    frames: dict[tuple[tuple[str, ...], str], str] = {}
+
+    def records(o: _Records, newline: str) -> Iterator[str]:
+        """The encoded records of `o`, each a dict at depth `newline`."""
+        inner = newline + "  "
+        frame = frames.get((o.keys, newline))
+        if frame is None:
+            # each % of a key doubled, so that only the %s slots format
+            slots = [prefixes[k].replace("%", "%%") + "%s" for k in o.keys]
+            frame = frames[o.keys, newline] = (
+                "{" + inner + ("," + inner).join(slots) + newline + "}"
+                if slots else "{}")
+        return (frame % tuple([_encode_str(v) if isinstance(v, str)
+                               else encode(v, inner) for v in row])
+                for row in o.rows)
 
     def encode(o: object, newline: str) -> str:
         if isinstance(o, str):
@@ -112,6 +145,9 @@ def render_json(obj: object, write: Write) -> None:
             brackets = "[]"
             members = [_encode_str(v) if isinstance(v, str)
                        else encode(v, inner) for v in o]
+        elif isinstance(o, _Records):
+            brackets = "[]"
+            members = list(records(o, inner))
         else:
             return _encode_scalar(o)
         if not members:
@@ -129,9 +165,11 @@ def render_json(obj: object, write: Write) -> None:
                 yield from stream(v, inner)
                 sep = "," + inner
             yield "{}" if sep[0] == "{" else newline + "}"
-        elif isinstance(o, (list, tuple, Iterator)):
-            sep, members = "[" + inner, iter(o)
-            while chunk := [encode(v, inner) for v in islice(members, _CHUNK)]:
+        elif isinstance(o, (list, tuple, Iterator, _Records)):
+            sep = "[" + inner
+            members = (records(o, inner) if isinstance(o, _Records)
+                       else map(encode, o, repeat(inner)))
+            while chunk := list(islice(members, _CHUNK)):
                 yield sep + ("," + inner).join(chunk)
                 sep = "," + inner
             yield "[]" if sep[0] == "[" else newline + "]"
@@ -185,13 +223,12 @@ def _make_field(m: int, poly_text: str | None = None) -> GF2m:
 
 def cmd_field_table(args: argparse.Namespace) -> Emit:
     field = _make_field(args.m, args.poly)
-    rows = field.table_rows()
+    headers, rows = ("power", "polynomial", "vector"), field.table_rows()
     return _render(args.format, lambda: {
         "m": field.m,
         "prime_poly": field.prime_poly.to_binary(),
-        "rows": ({"power": p, "polynomial": q, "vector": v}
-                 for p, q, v in rows),
-    }, ["power", "polynomial", "vector"], rows)
+        "rows": _Records(headers, rows),
+    }, headers, rows)
 
 
 def cmd_minpolys(args: argparse.Namespace) -> Emit:
@@ -217,17 +254,18 @@ def cmd_minpolys(args: argparse.Namespace) -> Emit:
         classes.append(row([f"α^{k}" for k in sorted(orbit)], field.alpha(e)))
     return _render(args.format, lambda: {
         "m": field.m,
-        "classes": [{"elements": labels, "minimal_polynomial": terms,
-                     "binary": binary} for labels, terms, binary in classes],
+        "classes": _Records(("elements", "minimal_polynomial", "binary"),
+                            classes),
     }, ["elements", "minimal polynomial", "binary"],
-        [(", ".join(labels), terms, binary)
-         for labels, terms, binary in classes])
+        ((", ".join(labels), terms, binary)
+         for labels, terms, binary in classes))
 
 
 def cmd_bases(args: argparse.Namespace) -> Emit:
     field = _make_field(args.m)
     _, dual, normal = algebra._table_bases(field)
     powers = [PowerForm.ZERO] + [PowerForm(e) for e in range(field.order - 1)]
+    headers = ("power", "standard", "dual", "normal")
     rows = [(str(power),
              "".join(map(str, t.standard)),
              "".join(map(str, t.dual)),
@@ -237,9 +275,8 @@ def cmd_bases(args: argparse.Namespace) -> Emit:
         "m": field.m,
         "dual_basis": [e.vector_str() for e in dual],
         "normal_basis": [str(e.power) for e in normal],
-        "rows": [{"power": p, "standard": s, "dual": d, "normal": n}
-                 for p, s, d, n in rows],
-    }, ["power", "standard", "dual", "normal"], rows)
+        "rows": _Records(headers, rows),
+    }, headers, rows)
 
 
 def cmd_constmul(args: argparse.Namespace) -> Emit:
@@ -313,8 +350,8 @@ def cmd_lfsr_divide(args: argparse.Namespace) -> Emit:
         "g": g.to_binary(), "p": p.to_binary(),
         "remainder": remainder.to_binary(),
         "remainder_terms": remainder.to_terms("X"),
-        "rows": [{"clock": r.clock, "input": r.input_bit,
-                  "regs": list(r.regs_after)} for r in trace],
+        "rows": _Records(("clock", "input", "regs"), (
+            (r.clock, r.input_bit, r.regs_after) for r in trace)),
     }, headers, rows, text)
 
 
@@ -336,11 +373,8 @@ def cmd_report_gates(args: argparse.Namespace) -> Emit:
     if args.k is not None:
         report = mastrovito.complexity_report(args.m, args.k)
         headers = ["design", "AND", "NAND", "XOR", "delay"]
+        keys = ("design", "and", "nand", "xor", "delay")
         rows = list(report.literature) + list(report.measured)
-
-        def section(part):
-            return [{"design": d, "and": a, "nand": n, "xor": x, "delay": t}
-                    for d, a, n, x, t in part]
 
         def text(write: Write) -> None:
             write(f"multiplier complexity over x^{report.m} + x^{report.k} + 1 "
@@ -350,8 +384,8 @@ def cmd_report_gates(args: argparse.Namespace) -> Emit:
 
         return _render(args.format, lambda: {
             "m": report.m, "k": report.k,
-            "literature": section(report.literature),
-            "measured": section(report.measured),
+            "literature": _Records(keys, report.literature),
+            "measured": _Records(keys, report.measured),
             "notes": list(report.notes),
         }, headers, rows, text)
     field = _make_field(args.m)
@@ -367,20 +401,20 @@ def cmd_report_gates(args: argparse.Namespace) -> Emit:
 
     return _render(args.format, lambda: {
         "m": field.m, "estimate": estimate,
-        "counts": [{"power": p, "xor_count": c} for p, c in counts],
+        "counts": _Records(headers, counts),
     }, headers, rows + [("estimate", estimate)], text)
 
 
 def cmd_errata(args: argparse.Namespace) -> Emit:
-    return _render(args.format, lambda: {"errata": [{
-        "id": e.eid, "where": e.where, "published": e.published,
-        "computed": e.computed, "note": e.note,
-    } for e in ERRATA]}, ["id", "where", "published", "computed", "note"],
-        [(e.eid, e.where, e.published, e.computed, e.note) for e in ERRATA],
-        lambda write: write("\n".join(f"{e.eid}: {e.where}\n"
-                                      f"  published: {e.published}\n"
-                                      f"  computed:  {e.computed}\n"
-                                      f"  note: {e.note}\n" for e in ERRATA)))
+    headers = ("id", "where", "published", "computed", "note")
+    rows = [(e.eid, e.where, e.published, e.computed, e.note) for e in ERRATA]
+    return _render(
+        args.format, lambda: {"errata": _Records(headers, rows)}, headers,
+        rows, lambda write: write("\n".join(f"{e.eid}: {e.where}\n"
+                                            f"  published: {e.published}\n"
+                                            f"  computed:  {e.computed}\n"
+                                            f"  note: {e.note}\n"
+                                            for e in ERRATA)))
 
 
 # -- parser ------------------------------------------------------------------

@@ -322,24 +322,27 @@ class GF2m:
         """All 2^m rows of the representation table, one at a time: 0
         first, then alpha^0..
 
-        Row k is alpha^(k-1), in antilog order.  Its polynomial joins those
-        of the high and low halves of its bits, looked up in two tables
-        that `_poly_text`, the one polynomial formatter, fills.
+        Row k is alpha^(k-1), in antilog order.  Its polynomial and its
+        vector each join those of the high and low halves of its bits,
+        looked up in tables that `_poly_text`, the one polynomial
+        formatter, and `format` fill.
         """
         m, low = self.m, self.m // 2
         mask = (1 << low) - 1
         highs = [_poly_text(h << low) if h else ""
                  for h in range(1 << (m - low))]
         lows = [_poly_text(b) if b else "" for b in range(1 << low)]
-        vector = f"0{m}b"
+        vhighs = [format(h, f"0{m - low}b") for h in range(1 << (m - low))]
+        vlows = [format(b, f"0{low}b") for b in range(1 << low)]
         antilog = self.antilog_table
         yield self._row(0)
         for lo in range(0, len(antilog), _CHUNK):  # not the whole table as ints
             for k, bits in enumerate(antilog[lo:lo + _CHUNK].tolist(), lo):
-                high, rest = highs[bits >> low], lows[bits & mask]
+                h, b = bits >> low, bits & mask
+                high, rest = highs[h], lows[b]
                 yield (f"α^{k}",
                        f"{high} + {rest}" if high and rest else high or rest,
-                       format(bits, vector))
+                       vhighs[h] + vlows[b])
 
 
 def _per_field(fn):

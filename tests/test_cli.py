@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from conftest import golden
 
-from gf2m.cli import _CHUNK, main, render_json
+from gf2m.cli import _CHUNK, _Records, main, render_json
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -207,16 +207,78 @@ def test_render_json_renders_iterators_as_lists(value):
         value, indent=2, ensure_ascii=False) + "\n"
 
 
+# unique keys, some with the % that record frames must escape
+record_keys = st.lists(json_text | st.text(st.sampled_from('%s"\\\u00e9')),
+                       unique=True, max_size=4)
+records = record_keys.flatmap(lambda keys: st.tuples(st.just(keys), st.lists(
+    st.lists(json_values, min_size=len(keys), max_size=len(keys)),
+    max_size=4)))
+# where a record list sits: `make()` gives a new one, and `rec(keys, rows)`
+# is a record list whose rows hold one; "depths" has the same keys at two
+# depths, each with its own frame
+RECORD_NESTINGS = {
+    "top": lambda make, rec: make(),
+    "dict": lambda make, rec: {"m": 4, "rows": make()},
+    "list": lambda make, rec: [None, make()],
+    "record": lambda make, rec: rec(("r", "s"), [(make(), None)]),
+    "depths": lambda make, rec: {"a": make(), "b": [make()]},
+}
+
+
+def _dicts(keys, rows):
+    return [dict(zip(keys, row)) for row in rows]
+
+
+@given(records, st.booleans(), st.sampled_from(sorted(RECORD_NESTINGS)))
+def test_render_json_renders_records_as_their_dicts(keys_rows, lazy, nesting):
+    keys, rows = keys_rows
+    nest = RECORD_NESTINGS[nesting]
+    doc = nest(lambda: _Records(keys, iter(rows) if lazy else rows), _Records)
+    assert _rendered(doc) == json.dumps(
+        nest(lambda: _dicts(keys, rows), _dicts),
+        indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("doc,plain", [
+    (_Records(("a",), []), []),
+    ({"rows": _Records(("a", "b"), iter([]))}, {"rows": []}),
+    ([_Records((), [])], [[]]),
+    (_Records((), [(), ()]), [{}, {}]),
+])
+def test_render_json_renders_empty_records(doc, plain):
+    assert _rendered(doc) == json.dumps(plain, indent=2) + "\n"
+
+
 def test_render_json_writes_a_long_list_in_chunks():
     rows = [{"power": str(k), "vector": format(k, "b")} for k in range(5000)]
     writes = []
-    render_json({"m": 4, "rows": iter(rows), "empty": iter([])},
+    render_json({"m": 4, "rows": iter(rows), "empty": iter([]),
+                 "records": _Records(("power", "vector"),
+                                     iter([tuple(r.values()) for r in rows]))},
                 writes.append)
     assert "".join(writes) == json.dumps(
-        {"m": 4, "rows": rows, "empty": []}, indent=2) + "\n"
-    # one write per chunk of rows, and never more than a chunk in a write
+        {"m": 4, "rows": rows, "empty": [], "records": rows}, indent=2) + "\n"
+    # one write per chunk of rows or records, and never more than a chunk
+    # in a write
     assert max(w.count('"power"') for w in writes) == _CHUNK
-    assert len(writes) < 20
+    assert len(writes) < 30
+
+
+@pytest.mark.parametrize("keys,row", [
+    (("a", "b"), ("x",)), (("a", "b"), ("x", 1, None)), ((), ("x",)),
+    (("a",), ()),
+])
+@pytest.mark.parametrize("nest", [lambda x: x, lambda x: [x]],
+                         ids=["streamed", "nested"])
+def test_render_json_rejects_a_record_row_of_the_wrong_length(keys, row, nest):
+    with pytest.raises(TypeError):
+        render_json(nest(_Records(keys, [("",) * len(keys), row])),
+                    io.StringIO().write)
+
+
+def test_records_reject_repeated_keys():
+    with pytest.raises(ValueError, match="repeat"):
+        _Records(("power", "vector", "power"), [])
 
 
 # json.dumps rejects the first two too; it would quote the last two keys,

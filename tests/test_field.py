@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -237,6 +238,17 @@ def test_table_rows_match_format_row():
         want = [field.format_row(field.zero)] + [
             field.format_row(field.alpha(k)) for k in range(field.order - 1)]
         assert list(field.table_rows()) == want, field
+
+
+def test_table_rows_match_format_row_past_the_first_chunk():
+    # table_rows walks the antilog table 2^16 entries at a time: rows
+    # 65533..65538 (alpha^65532..alpha^65537) straddle the boundary
+    field = GF2m(17)
+    sample = set(range(65533, 65539)) | set(
+        random.Random(17).sample(range(field.order), 200))
+    got = {k: row for k, row in enumerate(field.table_rows()) if k in sample}
+    assert got == {k: field.format_row(field.alpha(k - 1) if k else field.zero)
+                   for k in sample}
 
 
 def test_power_form_str_and_zero(field4):
