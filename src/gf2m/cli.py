@@ -22,7 +22,7 @@ csv form).  The renderers write as they format, a chunk of rows at a time,
 so no command holds its whole output.  A JSON list of dicts with the same
 keys is a record list (`_Records`): the keys and one row of values per
 dict, often the rows csv and table print, rendered through one frame per
-key set and no dict per row.  Exit codes: 0 success (also when the
+record list and no dict per row.  Exit codes: 0 success (also when the
 reader closes the pipe early), 2 invalid input, 3 internal invariant breach.
 """
 
@@ -94,40 +94,26 @@ class _Records:
         self.keys, self.rows = tuple(keys), rows
 
 
-class _KeyPrefixes(dict):
-    """The encoded `"key": ` of each dict key, made once per document."""
-
-    def __missing__(self, key: str) -> str:
-        prefix = self[key] = _encode_str(key) + ": "
-        return prefix
-
-
 def render_json(obj: object, write: Write) -> None:
     """Write ``json.dumps(obj, indent=2, ensure_ascii=False)`` plus a newline.
 
     An iterator renders as a list, and a `_Records` as its list of dicts.
-    The document's dicts are written member by member and its lists
-    _CHUNK members per write, as they are consumed, so a generator of rows
-    is never held whole.  Each list member is one join of its own members'
-    strings, and each record one ``%`` of the frame made once for its keys
-    and depth; strings and scalars go through ``json``'s C encoders (with
-    an indent, ``json`` itself encodes through its pure-Python generator).
-    Every dict key must be a str, as in every document the CLI builds; any
-    other raises TypeError, as does a record row of the wrong length.
+    Every dict and record list, at any depth, goes through `stream`, which
+    writes a dict member by member and a list _CHUNK members per write, as
+    they are consumed, so a generator of rows is never held whole.  Each
+    record is one ``%`` of the frame built once per record list.  Strings
+    go through ``json``'s C encoder, exact ints through ``int.__repr__`` and
+    other scalars through ``json``'s encoder.  A dict key that is not a str
+    raises TypeError, as does a record row of the wrong length.
     """
-    prefixes = _KeyPrefixes()
-    frames: dict[tuple[tuple[str, ...], str], str] = {}
 
     def records(o: _Records, newline: str) -> Iterator[str]:
         """The encoded records of `o`, each a dict at depth `newline`."""
         inner = newline + "  "
-        frame = frames.get((o.keys, newline))
-        if frame is None:
-            # each % of a key doubled, so that only the %s slots format
-            slots = [prefixes[k].replace("%", "%%") + "%s" for k in o.keys]
-            frame = frames[o.keys, newline] = (
-                "{" + inner + ("," + inner).join(slots) + newline + "}"
-                if slots else "{}")
+        # each % of a key doubled, so that only the %s slots format
+        slots = [_encode_str(k).replace("%", "%%") + ": %s" for k in o.keys]
+        frame = ("{" + inner + ("," + inner).join(slots) + newline + "}"
+                 if slots else "{}")
         return (frame % tuple([_encode_str(v) if isinstance(v, str)
                                else encode(v, inner) for v in row])
                 for row in o.rows)
@@ -135,25 +121,17 @@ def render_json(obj: object, write: Write) -> None:
     def encode(o: object, newline: str) -> str:
         if isinstance(o, str):
             return _encode_str(o)
-        inner = newline + "  "
-        if isinstance(o, dict):
-            brackets = "{}"
-            members = [prefixes[k] + (_encode_str(v) if isinstance(v, str)
-                                      else encode(v, inner))
-                       for k, v in o.items()]
-        elif isinstance(o, (list, tuple, Iterator)):
-            brackets = "[]"
+        if type(o) is int:
+            return int.__repr__(o)
+        if isinstance(o, (list, tuple, Iterator)):
+            inner = newline + "  "
             members = [_encode_str(v) if isinstance(v, str)
                        else encode(v, inner) for v in o]
-        elif isinstance(o, _Records):
-            brackets = "[]"
-            members = list(records(o, inner))
-        else:
-            return _encode_scalar(o)
-        if not members:
-            return brackets
-        return (brackets[0] + inner + ("," + inner).join(members)
-                + newline + brackets[1])
+            return ("[" + inner + ("," + inner).join(members) + newline + "]"
+                    if members else "[]")
+        if isinstance(o, (dict, _Records)):
+            return "".join(stream(o, newline))
+        return _encode_scalar(o)
 
     def stream(o: object, newline: str) -> Iterator[str]:
         """`encode(o, newline)` in pieces, down to the members of lists."""
@@ -161,7 +139,7 @@ def render_json(obj: object, write: Write) -> None:
         if isinstance(o, dict):
             sep = "{" + inner
             for k, v in o.items():
-                yield sep + prefixes[k]
+                yield sep + _encode_str(k) + ": "
                 yield from stream(v, inner)
                 sep = "," + inner
             yield "{}" if sep[0] == "{" else newline + "}"
@@ -240,25 +218,28 @@ def cmd_minpolys(args: argparse.Namespace) -> Emit:
         return (labels, mp.to_terms("X", ascending=True, spaced=True),
                 mp.to_binary())
 
-    classes = [row([str(PowerForm.ZERO)], field.zero)]
-    seen = bytearray(n)
-    for e in range(n):
-        if seen[e]:
-            continue
-        # the class of alpha^e is its exponent orbit e * 2^k mod n
-        orbit = [e]
-        while (k := 2 * orbit[-1] % n) != e:
-            orbit.append(k)
-        for k in orbit:
-            seen[k] = 1
-        classes.append(row([f"α^{k}" for k in sorted(orbit)], field.alpha(e)))
+    def classes() -> Iterator[tuple[list[str], str, str]]:
+        """One row per conjugacy class, made as the format writes it."""
+        yield row([str(PowerForm.ZERO)], field.zero)
+        seen = bytearray(n)
+        for e in range(n):
+            if seen[e]:
+                continue
+            # the class of alpha^e is its exponent orbit e * 2^k mod n
+            orbit = [e]
+            while (k := 2 * orbit[-1] % n) != e:
+                orbit.append(k)
+            for k in orbit:
+                seen[k] = 1
+            yield row([f"α^{k}" for k in sorted(orbit)], field.alpha(e))
+
     return _render(args.format, lambda: {
         "m": field.m,
         "classes": _Records(("elements", "minimal_polynomial", "binary"),
-                            classes),
+                            classes()),
     }, ["elements", "minimal polynomial", "binary"],
         ((", ".join(labels), terms, binary)
-         for labels, terms, binary in classes))
+         for labels, terms, binary in classes()))
 
 
 def cmd_bases(args: argparse.Namespace) -> Emit:

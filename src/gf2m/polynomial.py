@@ -254,17 +254,25 @@ def _powmod(base: int, e: int, f: int) -> int:
     return result
 
 
+def _gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return a
+
+
 def is_irreducible(f: Gf2Poly) -> bool:
-    """Trial division by every polynomial of degree 1..deg(f)//2."""
+    """Rabin's test (SIAM J. Comput. 1980): f of degree d is irreducible
+    when x^(2^d) = x mod f and gcd(x^(2^(d/p)) - x, f) = 1 for each prime
+    p dividing d."""
     d = f.degree
     if d is None or d < 1:
         raise DegreeZero("irreducibility needs degree >= 1")
     if d == 1:
         return True
-    for g in range(2, 1 << (d // 2 + 1)):
-        if not _divmod(f.bits, g)[1]:
-            return False
-    return True
+    # x is 2, already reduced mod f of degree d >= 2
+    return _powmod(2, 1 << d, f.bits) == 2 and all(
+        _gcd(f.bits, _powmod(2, 1 << (d // p), f.bits) ^ 2) == 1
+        for p in _prime_factors(d))
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -18,6 +18,7 @@ from gf2m.errors import (
 from gf2m.polynomial import (
     MAX_TERM_EXPONENT,
     PRIMITIVE_POLY_STRINGS,
+    _divmod,
     primitive_poly,
     substitute_x_power,
 )
@@ -168,8 +169,30 @@ def test_known_irreducibles_and_factorables():
     assert not is_irreducible(Gf2Poly.parse("101"))    # (x+1)^2
     assert not is_irreducible(Gf2Poly.parse("10101"))  # (x^2+x+1)^2
     assert not is_irreducible(Gf2Poly.parse("110"))    # x(x+1)
+    assert not is_irreducible(Gf2Poly.parse("x^64+1"))  # (x+1)^64
     assert is_irreducible(Gf2Poly.parse("10"))  # x is degree 1
     assert is_irreducible(Gf2Poly.parse("11"))
+
+
+def _by_trial_division(bits: int) -> bool:
+    """The oracle: no polynomial of degree 1..d//2 divides f."""
+    d = bits.bit_length() - 1
+    return not any(_divmod(bits, g)[1] == 0
+                   for g in range(2, 1 << (d // 2 + 1)))
+
+
+def test_rabin_test_agrees_with_trial_division_up_to_degree_13():
+    for bits in range(2, 1 << 14):
+        assert is_irreducible(Gf2Poly(bits)) == _by_trial_division(bits), bits
+
+
+@pytest.mark.parametrize("text", [
+    "x^163+x^7+x^6+x^3+1", "x^233+x^74+1", "x^283+x^12+x^7+x^5+1",
+    "x^409+x^87+1", "x^571+x^10+x^5+x^2+1",
+])
+def test_nist_binary_field_polynomials_are_irreducible(text):
+    # FIPS 186-4, Appendix D; trial division would need 2^(m/2) divisions
+    assert is_irreducible(Gf2Poly.parse(text))
 
 
 def test_irreducibility_needs_positive_degree():
