@@ -62,8 +62,12 @@ def render_table(headers: Sequence[str], rows: Iterable[Sequence[str]],
                  write: Write) -> None:
     rows = rows if isinstance(rows, Sequence) else list(rows)
     widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    lines = (" | ".join(map(str.ljust, row, widths)).rstrip() + "\n"
-             for row in chain([headers, ["-" * w for w in widths]], rows))
+    head = " | ".join(map(str.ljust, headers, widths))
+    # a header cell that spans columns joined by " | " rules each column
+    rule = " | ".join(["-" * len(cell) for cell in head.split(" | ")])
+    lines = chain([head.rstrip() + "\n", rule.rstrip() + "\n"], (
+        " | ".join(map(str.ljust, row, widths)).rstrip() + "\n"
+        for row in rows))
     for chunk in iter(lambda: "".join(islice(lines, _CHUNK)), ""):
         write(chunk)
 
@@ -126,6 +130,7 @@ def render_json(obj: object, write: Write) -> None:
         if isinstance(o, (list, tuple, Iterator)):
             inner = newline + "  "
             members = [_encode_str(v) if isinstance(v, str)
+                       else int.__repr__(v) if type(v) is int
                        else encode(v, inner) for v in o]
             return ("[" + inner + ("," + inner).join(members) + newline + "]"
                     if members else "[]")
@@ -307,15 +312,43 @@ def cmd_mastrovito(args: argparse.Namespace) -> Emit:
         [(f"z{i}", bits[i], equations[i]) for i in range(field.m)])
 
 
+def _register_rows(trace: Sequence[lfsr_mod.TraceRow],
+                   stages: Sequence[str]) -> list[tuple[str, str, str]]:
+    """The --trace table rows: clock, input, and the whole register as one
+    cell, each stage padded to its header and joined by " | ".
+
+    The register text joins one string per register byte, looked up by the
+    byte's value in a table of its stages' texts; bytes whose stages have
+    the same widths share one table.
+    """
+    nbytes = (len(stages) + 7) // 8
+    shared: dict[tuple[tuple[int, ...], str], list[str]] = {}
+    tables = []
+    for k in range(nbytes):
+        widths = tuple(map(len, stages[8 * k:8 * k + 8]))
+        sep = " | " if k < nbytes - 1 else ""
+        if (widths, sep) not in shared:
+            shared[widths, sep] = [
+                " | ".join(["01"[v >> j & 1].ljust(w)
+                            for j, w in enumerate(widths)]) + sep
+                for v in range(1 << len(widths))]
+        tables.append(shared[widths, sep])
+    return [("0", "-", "".join([table[0] for table in tables]))] + [
+        (str(r.clock), "01"[r.input_bit], "".join(
+            map(list.__getitem__, tables, r.regs.to_bytes(nbytes, "little"))))
+        for r in trace]
+
+
 def cmd_lfsr_divide(args: argparse.Namespace) -> Emit:
     g = Gf2Poly.parse(args.g)
     p = Gf2Poly.parse(args.p)
     remainder, trace = lfsr_mod.divide(p, g)
     d = g.bits.bit_length() - 1
-    headers = ["clock", "input"] + [f"X{i}" for i in range(d)]
-    # formatted only by the one format that writes them: csv or --trace table
+    stages = [f"X{i}" for i in range(d)]
+    headers = ["clock", "input", *stages]
+    # the csv rows, formatted only if csv writes them
     rows = chain([["0", "-"] + ["0"] * d], (
-        [str(r.clock), "01"[r.input_bit]] + ["01"[b] for b in r.regs_after]
+        (str(r.clock), "01"[r.input_bit], *format(r.regs, f"0{d}b")[::-1])
         for r in trace))
     remainder_line = (f"remainder = {remainder.to_binary()} "
                       f"({remainder.to_terms('X')})\n")
@@ -324,7 +357,8 @@ def cmd_lfsr_divide(args: argparse.Namespace) -> Emit:
 
     def text(write: Write) -> None:
         if args.trace:
-            render_table(headers, rows, write)
+            render_table(["clock", "input", " | ".join(stages)],
+                         _register_rows(trace, stages), write)
         write(remainder_line)
 
     return _render(fmt, lambda: {

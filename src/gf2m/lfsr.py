@@ -3,7 +3,9 @@
 A register built from g(x) of degree d has d flip-flops, regs[i] being the
 stage called X^i in the usual division tables; inside the module the
 register is an int with bit i = regs[i], and tuples of stages exist only at
-the public boundary.  One `step` clocks the kind `LfsrConfig.feedback` names.
+the public boundary: a `TraceRow` keeps its clock's register as that int,
+`regs`, and `regs_after` unpacks it.  One `step` clocks the kind
+`LfsrConfig.feedback` names.
 
 Internal (divider) feedback taps sit at {i < d : g_i = 1}; a clock is
 multiply-by-x mod g with the input XORed into stage 0:
@@ -63,8 +65,14 @@ class LfsrConfig:
 class TraceRow:
     clock: int
     input_bit: int
-    regs_after: tuple[int, ...]
+    regs: int  # the register after this clock: bit i = stage X^i
     feedback: int  # the f (quotient) bit consumed this clock
+    degree: int  # the register's stage count
+
+    @property
+    def regs_after(self) -> tuple[int, ...]:
+        """The register after this clock, stage X^0 first."""
+        return unpack(self.regs, self.degree)
 
 
 def from_polynomial(g: Gf2Poly, feedback: str = "internal") -> LfsrConfig:
@@ -114,7 +122,7 @@ def divide(p: Gf2Poly, g: Gf2Poly) -> tuple[Gf2Poly, tuple[TraceRow, ...]]:
     for n, bit in enumerate(map(int, format(p.bits, "b")), start=1):
         f = regs >> (d - 1)
         regs = clock(regs, bit)
-        rows.append(TraceRow(n, bit, unpack(regs, d), f))
+        rows.append(TraceRow(n, bit, regs, f, d))
     return Gf2Poly(regs), tuple(rows)
 
 

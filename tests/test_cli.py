@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +17,8 @@ from hypothesis import given, strategies as st
 
 from conftest import golden
 
-from gf2m.cli import _CHUNK, _Records, main, render_json
+from gf2m import Gf2Poly, divide
+from gf2m.cli import _CHUNK, _Records, main, render_json, render_table
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -372,9 +375,65 @@ def test_lfsr_divide_formats_no_trace_row_it_does_not_write(monkeypatch):
     assert status == 0
     # x^2000 = x^(2000 - 3 * 512) mod x^512 + 1
     assert out.getvalue() == f"remainder = 1{'0' * 463}1 (X^464+1)\n"
-    # 65 MiB with every clock's row formatted as strings; the 2001 register
-    # tuples of lfsr.divide itself take about 8 MiB
-    assert peak < 16 << 20, peak
+    # 65 MiB with every clock's row formatted as strings, and 8.4 MiB while
+    # lfsr.divide kept a tuple of stages per clock; 0.65 MiB with one int
+    # word per clock
+    assert peak < 2 << 20, peak
+
+
+# register degrees on each side of a stage header's change of width (X9,
+# X10; X99, X100) and of a register byte's end (8, 16)
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 10, 11, 16, 17, 100, 101])
+def test_lfsr_trace_matches_one_cell_per_stage(capsys, d):
+    rng = random.Random(d)
+    g = Gf2Poly(1 << d | rng.getrandbits(d) | 1)
+    p = Gf2Poly(rng.getrandbits(3 * d + 20))
+    _, trace = divide(p, g)
+    # the oracle: one cell per stage, read from the public stage tuples
+    headers = ["clock", "input"] + [f"X{i}" for i in range(d)]
+    cells = [["0", "-"] + ["0"] * d] + [
+        [str(r.clock), str(r.input_bit), *map(str, r.regs_after)]
+        for r in trace]
+    table, grid = io.StringIO(), io.StringIO()
+    render_table(headers, cells, table.write)
+    csv.writer(grid, lineterminator="\n").writerows([headers, *cells])
+
+    def run(*extra: str) -> str:
+        assert main(["lfsr", "divide", "--g", g.to_binary(),
+                     "--p", p.to_binary(), *extra]) == 0
+        return capsys.readouterr().out
+
+    assert run("--trace", "table") == table.getvalue() + run()
+    assert run("--trace", "csv") == grid.getvalue()
+    rows = json.loads(run("--format", "json"))["rows"]
+    assert [row["regs"] for row in rows] == [list(r.regs_after)
+                                             for r in trace]
+
+
+# cell text without "|", the column separator's mark
+table_text = st.text(st.sampled_from("ab X01-\u00e9\u03b1"), max_size=4)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(table_text, min_size=n, max_size=n),
+    st.lists(st.lists(table_text, min_size=n, max_size=n), max_size=4),
+    st.lists(st.integers(0, n), min_size=2, max_size=2,
+             unique=True).map(sorted))))
+def test_render_table_rules_each_column_of_a_spanning_header(table):
+    headers, rows, (start, stop) = table
+    spelled = io.StringIO()
+    render_table(headers, rows, spelled.write)
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+
+    def span(cells):
+        """`cells` with columns start..stop-1 as one pre-padded cell."""
+        joined = " | ".join(map(str.ljust, cells[start:stop],
+                                widths[start:stop]))
+        return [*cells[:start], joined, *cells[stop:]]
+
+    spanned = io.StringIO()
+    render_table(span(headers), [span(row) for row in rows], spanned.write)
+    assert spanned.getvalue() == spelled.getvalue()
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])

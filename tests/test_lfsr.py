@@ -172,6 +172,17 @@ def test_divide_gives_remainder_and_quotient_stream(p_bits, g_high):
     assert int(stream, 2) == (p // g).bits
 
 
+@given(st.integers(min_value=0, max_value=(1 << 64) - 1),
+       st.integers(min_value=1, max_value=(1 << 16) - 1))
+def test_trace_rows_keep_the_register_word(p_bits, g_high):
+    p, g = Gf2Poly(p_bits), Gf2Poly(g_high << 1 | 1)
+    remainder, trace = divide(p, g)
+    for row in trace:
+        assert len(row.regs_after) == row.degree == g.degree
+        assert row.regs == sum(b << i for i, b in enumerate(row.regs_after))
+    assert trace[-1].regs == remainder.bits
+
+
 def test_divide_zero_polynomial():
     remainder, trace = divide(Gf2Poly(0), Gf2Poly.parse("1011"))
     assert remainder.is_zero
